@@ -125,8 +125,8 @@ pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Vec<Cell> {
 /// protocol is measured to its terminal all-`x`/all-`y` state
 /// ([`ConvergenceRule::StateConsensus`]) on the jump engine; the exact
 /// protocols to output consensus (stable for them, Lemma A.1) — 4-state on
-/// the jump engine, AVC (whose large state spaces favor count space) on the
-/// adaptive `auto` engine.
+/// the jump engine, AVC (productive most of the time early, mostly silent
+/// late) on the adaptive `auto` engine.
 ///
 /// # Panics
 ///

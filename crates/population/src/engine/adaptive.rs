@@ -1,9 +1,9 @@
-//! Adaptive engine: starts as [`CountSim`], switches to [`JumpSim`] once
-//! silent steps dominate.
+//! Adaptive engine: starts as [`AgentSim`] on the clique, switches to
+//! [`JumpSim`] once silent steps dominate.
 
 use crate::config::Config;
 use crate::engine::{
-    AdvanceReport, ChunkedSimulator, CountSim, JumpSim, Simulator, StopCondition, StopReason,
+    AdvanceReport, AgentSim, ChunkedSimulator, JumpSim, Simulator, StopCondition, StopReason,
 };
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
@@ -18,16 +18,28 @@ const SWITCH_DIVISOR: u64 = 16;
 
 /// A one-way adaptive engine.
 ///
-/// For protocols with many states, the early dynamics are dense — nearly
-/// every interaction is productive — so [`CountSim`]'s `O(log s)` steps are
-/// optimal. The late dynamics are sparse: the bulk of steps are silent,
+/// While most interactions are productive, every step has to be simulated
+/// anyway, so the cheapest engine is the one with the cheapest step:
+/// [`AgentSim`] on the clique, one `O(1)` pair draw over a packed state
+/// array. The late dynamics are sparse: the bulk of steps are silent,
 /// which is exactly where [`JumpSim`] shines (its per-*event* cost pays off
-/// once events are rare). `AdaptiveSim` runs `CountSim` until the productive
-/// fraction over a step window drops below `1/16`, then transplants the
-/// configuration into a `JumpSim` and continues there.
+/// once events are rare). `AdaptiveSim` runs the agent engine until the
+/// productive fraction over a step window drops below `1/16`, then
+/// transplants the configuration (the agent engine's `counts()`) into a
+/// `JumpSim` and continues there. Whether a run ever gets sparse depends
+/// on the protocol and input, so only this online test tells the regimes
+/// apart.
+///
+/// The dense phase holds one state per agent (`O(n)` memory, like
+/// [`AgentSim`]); for populations too large for an agent array,
+/// [`CountSim`](super::CountSim) and [`JumpSim`] remain the `O(s)`-memory
+/// engines.
 ///
 /// The switch does not perturb the trajectory distribution: both engines
 /// simulate the same chain, and the handoff copies the exact configuration.
+///
+/// Agent identity does not survive the handoff, so the engine accepts only
+/// the count-space [`Fault::Corrupt`], in either phase.
 ///
 /// # Example
 ///
@@ -42,13 +54,13 @@ const SWITCH_DIVISOR: u64 = 16;
 /// assert!(sim.run_to_consensus(&mut rng, u64::MAX).verdict.is_consensus());
 /// ```
 /// The `T` parameter is the telemetry [`Sink`] seam (see
-/// [`CountSim`] for the contract). The sink lives on the adaptive wrapper —
-/// the inner engines keep the no-op default — so chunk deltas and the
-/// dense→sparse [`Sink::on_phase_switch`] event are recorded at the level
-/// that sees both phases.
+/// [`CountSim`](super::CountSim) for the contract). The sink lives on the
+/// adaptive wrapper — the inner engines keep the no-op default — so chunk
+/// deltas and the dense→sparse [`Sink::on_phase_switch`] event are
+/// recorded at the level that sees both phases.
 #[derive(Debug)]
 pub struct AdaptiveSim<P: Protocol + Clone, T = NoopSink> {
-    dense: CountSim<P>,
+    dense: AgentSim<P>,
     /// Allocated at the first dense→sparse switch and retained across
     /// [`ChunkedSimulator::reset`], so reused trial batches switch phases
     /// without reconstructing a `JumpSim`. Stale (ignored) while
@@ -65,10 +77,11 @@ impl<P: Protocol + Clone> AdaptiveSim<P> {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`CountSim::new`].
+    /// Panics if the configuration's state count differs from the
+    /// protocol's, or the population has fewer than two agents.
     pub fn new(protocol: P, config: Config) -> AdaptiveSim<P> {
         AdaptiveSim {
-            dense: CountSim::new(protocol, config),
+            dense: dense_engine(protocol, config),
             sparse: None,
             in_sparse: false,
             window_start_steps: 0,
@@ -76,6 +89,18 @@ impl<P: Protocol + Clone> AdaptiveSim<P> {
             telemetry: NoopSink,
         }
     }
+}
+
+/// The dense-phase engine: [`AgentSim`] on the clique, agents placed in
+/// state order. (`AgentSim` alone would accept a configuration with fewer
+/// states than the protocol.)
+fn dense_engine<P: Protocol>(protocol: P, config: Config) -> AgentSim<P> {
+    assert_eq!(
+        config.num_states(),
+        protocol.num_states(),
+        "configuration does not match protocol state space"
+    );
+    AgentSim::on_clique(protocol, config)
 }
 
 impl<P: Protocol + Clone, T: Sink> AdaptiveSim<P, T> {
@@ -127,7 +152,7 @@ impl<P: Protocol + Clone, T: Sink> AdaptiveSim<P, T> {
         self.window_start_steps = steps;
         self.window_start_events = events;
         if productive < WINDOW / SWITCH_DIVISOR {
-            let config = self.dense.config();
+            let config = Config::from_counts(self.dense.counts().to_vec());
             match &mut self.sparse {
                 // A retained JumpSim from an earlier trial: reset replays
                 // exactly like a fresh build, so the handoff is unchanged.
@@ -185,6 +210,16 @@ impl<P: Protocol + Clone, T: Sink> Simulator for AdaptiveSim<P, T> {
     }
 
     fn inject(&mut self, fault: Fault) -> Result<u64, FaultError> {
+        // The dense phase has agent identity but the sparse one does not:
+        // an agent-addressed fault accepted before the switch would be lost
+        // at the handoff, so only count-space corruption is accepted, in
+        // either phase.
+        if !matches!(fault, Fault::Corrupt { .. }) {
+            return Err(FaultError::Unsupported {
+                engine: "AdaptiveSim",
+                fault,
+            });
+        }
         let result = if self.in_sparse {
             self.sparse
                 .as_mut()
@@ -198,14 +233,7 @@ impl<P: Protocol + Clone, T: Sink> Simulator for AdaptiveSim<P, T> {
                 self.telemetry.on_fault();
             }
         }
-        // Report the outer engine's name, not the current phase's.
-        result.map_err(|e| match e {
-            FaultError::Unsupported { fault, .. } => FaultError::Unsupported {
-                engine: "AdaptiveSim",
-                fault,
-            },
-            other => other,
-        })
+        result
     }
 
     fn advance(&mut self, rng: &mut dyn RngCore) -> u64 {
@@ -268,7 +296,15 @@ impl<P: Protocol + Clone, T: Sink> ChunkedSimulator for AdaptiveSim<P, T> {
     }
 
     fn reset(&mut self, config: &Config) {
-        self.dense.reset(config);
+        if config.population() == self.dense.population() {
+            // Refills the agent array in state order, allocation-free.
+            self.dense.reset(config);
+        } else {
+            // The agent array's length is the engine's shape (`AgentSim`
+            // keeps a fixed n), so a new population rebuilds the dense
+            // engine.
+            self.dense = dense_engine(self.dense.protocol().clone(), config.clone());
+        }
         // The retained sparse engine (if any) stays allocated but ignored
         // until the next dense→sparse switch resets it from the live
         // configuration.
@@ -310,6 +346,14 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let out = sim.run_to_consensus(&mut rng, u64::MAX);
         assert!(out.verdict.is_consensus());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match protocol")]
+    fn rejects_wrong_state_space() {
+        // One state for a two-state protocol: the agent engine alone would
+        // take it.
+        let _ = AdaptiveSim::new(Voter, Config::from_counts(vec![3]));
     }
 
     #[test]

@@ -14,9 +14,10 @@ use rand::{Rng, RngCore};
 /// engine stores only the number of agents per state and samples the ordered
 /// interacting pair by species, using a [`FenwickSampler`] (first agent
 /// proportional to counts; second proportional to counts with the first
-/// agent removed). This is the work-horse engine for AVC with large state
-/// counts (the "n-state" instances of Figure 3 and the large-`s` curves of
-/// Figure 4).
+/// agent removed). Its memory is `O(s)` whatever the population, so it is
+/// the dense-regime engine for populations too large for the `O(n)` agent
+/// array that [`AgentSim`](super::AgentSim) and the `auto` engine
+/// ([`AdaptiveSim`](super::AdaptiveSim)) hold.
 ///
 /// # Example
 ///

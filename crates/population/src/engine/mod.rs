@@ -7,7 +7,7 @@
 //! | Engine | Per-step cost | Sweet spot |
 //! |---|---|---|
 //! | [`AgentSim`] | `O(1)` | arbitrary interaction graphs, ground truth |
-//! | [`CountSim`] | `O(log s)` | cliques with many states (large-`s` AVC) |
+//! | [`CountSim`] | `O(log s)` | cliques with many states, `O(s)` memory for populations too large for an agent array |
 //! | [`JumpSim`]  | `O(live states)` *per productive step* | long runs dominated by silent interactions (small-`s` protocols at small margins) |
 //! | [`TauLeapSim`] | `O(live states²)` *per leap* | **approximate** accelerated runs (Poisson τ-leaping, as in chemical-reaction-network simulation) |
 //!

@@ -40,7 +40,10 @@ use std::str::FromStr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Choose automatically: [`AdaptiveSim`], which is near-optimal across
-    /// the dense and sparse regimes.
+    /// the dense and sparse regimes ([`AgentSim`] on the clique while most
+    /// steps are productive, then [`JumpSim`]). It holds `O(n)` agent
+    /// memory; [`EngineKind::Count`] and [`EngineKind::Jump`] remain the
+    /// `O(s)`-memory engines for populations too large for an agent array.
     #[default]
     Auto,
     /// Per-agent engine ([`AgentSim`] on the clique).

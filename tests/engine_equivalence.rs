@@ -9,7 +9,7 @@
 //!    trajectory marginal at a fixed step checkpoint, over every exact
 //!    engine pair, so a *biased* engine (not just a shifted one) fails.
 //! 3. **Exact trajectory agreement** where the RNG streams permit it — the
-//!    adaptive engine's dense phase is bit-for-bit `CountSim`.
+//!    adaptive engine's dense phase is bit-for-bit `AgentSim` on the clique.
 //!
 //! Engines deliberately consume randomness differently (per-agent draws vs
 //! Fenwick state pairs vs geometric skips), so a literally shared seed
@@ -423,33 +423,31 @@ fn avc_step_distributions_agree_pairwise() {
 }
 
 /// Where RNG streams *do* coincide, the agreement is exact: the adaptive
-/// engine's dense phase is `CountSim` with the same draw sequence, so their
-/// `counts()` trajectories under a shared seed match bit for bit at every
-/// step (the voter run here ends long before the 4096-step switch window).
+/// engine's dense phase is `AgentSim` on the clique with the same draw
+/// sequence, so under a shared seed their `counts()`, `steps()` and
+/// `events()` match at every step before the first switch window (step
+/// 4096; a balanced voter run is productive about half the time, so it
+/// never switches).
 #[test]
-fn adaptive_dense_phase_is_exactly_count_sim() {
+fn adaptive_dense_phase_is_exactly_agent_sim() {
     let seeds = SeedSequence::new(90);
     for trial in 0..5u64 {
-        let config = Config::from_input(&Voter, 20, 10);
-        let mut count = CountSim::new(Voter, config.clone());
+        let config = Config::from_input(&Voter, 60, 60);
+        let mut agent = AgentSim::on_clique(Voter, config.clone());
         let mut adaptive = AdaptiveSim::new(Voter, config);
-        let mut rng_c = seeds.rng_for(trial);
+        let mut rng_g = seeds.rng_for(trial);
         let mut rng_a = seeds.rng_for(trial);
-        for step in 0..300 {
-            let c = count.advance(&mut rng_c);
+        for step in 0..4_095 {
+            let g = agent.advance(&mut rng_g);
             let a = adaptive.advance(&mut rng_a);
-            assert_eq!(c, a, "trial {trial}, step {step}");
+            assert_eq!(g, a, "trial {trial}, step {step}");
             assert_eq!(
-                count.counts(),
-                adaptive.counts(),
+                (agent.counts(), agent.steps(), agent.events()),
+                (adaptive.counts(), adaptive.steps(), adaptive.events()),
                 "trial {trial}, step {step}"
             );
-            if c == 0 {
-                break;
-            }
         }
-        assert_eq!(count.steps(), adaptive.steps());
-        assert_eq!(count.events(), adaptive.events());
+        assert!(!adaptive.is_sparse_phase(), "trial {trial} switched early");
     }
 }
 

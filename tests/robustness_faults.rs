@@ -7,7 +7,10 @@
 //! protocol changed behaviour, not that the dice rolled differently.
 
 use avc::population::driver::{Driver, DriverEvent, NullObserver, Observer, SimView};
-use avc::population::engine::{AdaptiveSim, AgentSim, CountSim, JumpSim, Simulator, TauLeapSim};
+use avc::population::engine::{
+    AdaptiveSim, AgentSim, ChunkedSimulator, CountSim, JumpSim, Simulator, StopCondition,
+    TauLeapSim,
+};
 use avc::population::faults::{Fault, FaultError, FaultEvent, FaultPlan};
 use avc::population::graph::Graph;
 use avc::population::spec::Verdict;
@@ -204,21 +207,76 @@ fn corruption_clamps_to_the_source_count() {
 
 /// Agent-addressed faults require agent identity, which only [`AgentSim`]
 /// has; the counting engines must refuse them loudly rather than guess.
+/// So must [`AdaptiveSim`] before its switch, although its dense phase is
+/// an agent engine: the fault would be lost at the handoff to [`JumpSim`].
 #[test]
 fn agent_addressed_faults_are_rejected_by_counting_engines() {
-    let mut sim = CountSim::new(FourState, Config::from_input(&FourState, 5, 5));
-    for fault in [
-        Fault::Crash { agent: 0 },
-        Fault::Revive { agent: 0 },
-        Fault::StickAt { agent: 0 },
-        Fault::Unstick { agent: 0 },
-        Fault::BitFlip { agent: 0, bit: 1 },
-    ] {
-        match sim.inject(fault) {
-            Err(FaultError::Unsupported { engine, .. }) => assert_eq!(engine, "CountSim"),
-            other => panic!("expected Unsupported, got {other:?}"),
+    let config = || Config::from_input(&FourState, 5, 5);
+    let adaptive = AdaptiveSim::new(FourState, config());
+    assert!(!adaptive.is_sparse_phase());
+    let engines: [(Box<dyn Simulator>, &str); 2] = [
+        (Box::new(CountSim::new(FourState, config())), "CountSim"),
+        (Box::new(adaptive), "AdaptiveSim"),
+    ];
+    for (mut sim, name) in engines {
+        for fault in [
+            Fault::Crash { agent: 0 },
+            Fault::Revive { agent: 0 },
+            Fault::StickAt { agent: 0 },
+            Fault::Unstick { agent: 0 },
+            Fault::BitFlip { agent: 0, bit: 1 },
+        ] {
+            match sim.inject(fault) {
+                Err(FaultError::Unsupported { engine, .. }) => assert_eq!(engine, name),
+                other => panic!("{name}: expected Unsupported, got {other:?}"),
+            }
         }
+        assert_eq!(sim.counts(), config().as_slice(), "{name}");
     }
+}
+
+/// A `Corrupt` injected in the dense phase carries through the handoff:
+/// up to the first switch window the adaptive engine is step for step the
+/// agent engine on the same seed, so the `JumpSim` it hands off to holds
+/// exactly the corrupted agent engine's counts and counters.
+#[test]
+fn adaptive_corruption_before_the_switch_carries_through_the_handoff() {
+    // A 5000:50 four-state input is quiet from the start (only interactions
+    // touching the 50 B agents are productive), so the engine switches at
+    // the first window boundary, step 4096.
+    let config = || Config::from_input(&FourState, 5_000, 50);
+    let fault = Fault::Corrupt {
+        from: FourState.input(Opinion::A),
+        to: FourState.input(Opinion::B),
+        agents: 10,
+    };
+    let mut adaptive = AdaptiveSim::new(FourState, config());
+    let mut agent = AgentSim::on_clique(FourState, config());
+    assert_eq!(adaptive.inject(fault), Ok(10));
+    assert_eq!(agent.inject(fault), Ok(10));
+    assert_eq!(adaptive.counts(), agent.counts());
+
+    let stop = StopCondition::never().with_max_steps(4_096);
+    let mut rng_a = SmallRng::seed_from_u64(9);
+    let mut rng_g = SmallRng::seed_from_u64(9);
+    adaptive.advance_chunk(&mut rng_a, stop);
+    agent.advance_chunk(&mut rng_g, stop);
+    assert!(adaptive.is_sparse_phase(), "expected a switch to JumpSim");
+    assert_eq!(adaptive.counts(), agent.counts());
+    assert_eq!(adaptive.steps(), agent.steps());
+    assert_eq!(adaptive.events(), agent.events());
+    assert_eq!(adaptive.counts().iter().sum::<u64>(), 5_050);
+
+    // After the switch the engine still refuses agent-addressed faults and
+    // still applies count-space corruption.
+    assert!(matches!(
+        adaptive.inject(Fault::Crash { agent: 0 }),
+        Err(FaultError::Unsupported {
+            engine: "AdaptiveSim",
+            ..
+        })
+    ));
+    assert_eq!(adaptive.inject(fault), Ok(10));
 }
 
 /// Observers hear each injection as a [`DriverEvent::Fault`], at the first
