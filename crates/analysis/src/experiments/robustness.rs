@@ -11,10 +11,13 @@
 //! *slowdown factors* relative to the uniform baseline.
 //!
 //! Headline structure of the results: both protocols stay exact in every
-//! cell; AVC additionally *stalls* (times out in a frozen mixed
-//! configuration, never answering wrong) when the schedule is restricted
-//! to a sparse interaction graph, while the four-state protocol converges
-//! on any connected graph per \[DV12].
+//! cell; AVC additionally *stalls* (times out in a mixed configuration,
+//! never answering wrong) when the schedule is restricted to a sparse
+//! interaction graph, while the four-state protocol converges on any
+//! connected graph per \[DV12]. The two AVC stalls differ: on the star it
+//! livelocks (the weak center toggles between −0 and +0 while the leaves
+//! never change, so interactions stay productive), and on the cycle it
+//! freezes (no interaction is productive; agents at most swap states).
 //!
 //! Every scenario is deterministic per seed: schedulers draw all
 //! randomness from the trial RNG, and fault injection draws none, so a

@@ -395,31 +395,20 @@ impl<P: Protocol, T: Sink> JumpSim<P, T> {
             }
         }
 
-        // Update null rows of previously-live states for each net change;
-        // freshly-live states get their row recomputed from scratch below
-        // (and are excluded here — their stale row must not be patched).
+        // Patch every live row by each net change, branch-free. A freshly
+        // live state's row is stale, so patching it (wrapping) is harmless:
+        // it is recomputed in full right below.
         for &(k, d) in deltas.iter().take(len) {
             if d == 0 {
                 continue;
             }
-            for idx in 0..self.live.len() {
-                let l = self.live[idx];
-                if fresh.iter().take(fresh_len).any(|&f| f == Some(l)) {
-                    continue;
-                }
-                if self.silent(l, k) {
-                    let row = &mut self.null_row[l as usize];
-                    *row = (*row as i64 + d) as u64;
-                }
+            for &l in &self.live {
+                let silent = i64::from(self.protocol.is_silent(l, k));
+                let row = &mut self.null_row[l as usize];
+                *row = row.wrapping_add_signed(d * silent);
             }
         }
-        for f in fresh
-            .iter()
-            .take(fresh_len)
-            .flatten()
-            .copied()
-            .collect::<Vec<_>>()
-        {
+        for &f in fresh.iter().take(fresh_len).flatten() {
             self.null_row[f as usize] = self.compute_null_row(f);
         }
 

@@ -415,9 +415,72 @@ impl Protocol for Avc {
         self.s() as u32
     }
 
+    /// [`Avc::update`] computed directly on state ids.
+    ///
+    /// The dense layout (see [`Avc::encode`]) makes every ingredient of
+    /// Figure 1 cheap on ids: values are piecewise linear in the id away
+    /// from the two weak ids, `ϕ` inverts them with one select, and
+    /// `Shift-to-Zero` is `id + 1` on the intermediates below level `d` of
+    /// either sign.
+    /// `update` on decoded states stays the reference; the unit tests
+    /// compare the two on every ordered pair.
+    #[inline]
     fn transition(&self, initiator: StateId, responder: StateId) -> (StateId, StateId) {
-        let (x, y) = self.update(self.decode(initiator), self.decode(responder));
-        (self.encode(x), self.encode(y))
+        let s = self.s();
+        for id in [initiator, responder] {
+            assert!(u64::from(id) < s, "state id {id} out of range for s={s}");
+        }
+        let (k, d, m) = (self.strong_per_sign, self.d, self.m);
+        let neg_zero = k + d; // −0; +0 is the next id
+        let plus_three = neg_zero + d + 2;
+        let is_weak = |q: StateId| q.wrapping_sub(neg_zero) < 2;
+        let is_strong = |q: StateId| q < k || q >= plus_three;
+        let is_plus = |q: StateId| q > neg_zero;
+        // Level-d intermediates sit next to −0 and next to +3.
+        let is_deepest = |q: StateId| q + 1 == neg_zero || q + 1 == plus_three;
+        let value = |q: StateId| {
+            let q = i64::from(q);
+            if q < i64::from(neg_zero) {
+                (2 * q - m).min(-1)
+            } else {
+                (2 * (q - i64::from(plus_three)) + 3).max(1)
+            }
+        };
+        let phi = |v: i64| {
+            if v < 0 {
+                ((v + m) / 2) as StateId
+            } else if v == 1 {
+                neg_zero + 2
+            } else {
+                plus_three + ((v - 3) / 2) as StateId
+            }
+        };
+        let shift_to_zero = |q: StateId| {
+            let shallow = q.wrapping_sub(k) < d - 1 || q.wrapping_sub(neg_zero + 2) < d - 1;
+            q + StateId::from(shallow)
+        };
+        let weak_of_sign = |q: StateId| neg_zero + StateId::from(is_plus(q));
+
+        let (a, b) = (initiator, responder);
+        let (weak_a, weak_b) = (is_weak(a), is_weak(b));
+        if !weak_a && !weak_b && (is_strong(a) || is_strong(b)) {
+            // Averaging: both values are odd, so the halved sum is exact;
+            // `R↓` and `R↑` round it to the odd neighbours.
+            let avg = (value(a) + value(b)) / 2;
+            (phi((avg - 1) | 1), phi(avg | 1))
+        } else if weak_a != weak_b {
+            // Zero meets non-zero.
+            if weak_a {
+                (weak_of_sign(b), shift_to_zero(b))
+            } else {
+                (shift_to_zero(a), weak_of_sign(a))
+            }
+        } else if !weak_a && is_plus(a) != is_plus(b) && (is_deepest(a) || is_deepest(b)) {
+            // Neutralization of opposite intermediates.
+            (weak_of_sign(a), weak_of_sign(b))
+        } else {
+            (shift_to_zero(a), shift_to_zero(b))
+        }
     }
 
     fn output(&self, state: StateId) -> Opinion {
@@ -676,6 +739,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The reference result of a pair: Figure 1's `update` on decoded
+    /// states, re-encoded, and whether it leaves the pair unchanged.
+    fn reference(p: &Avc, a: StateId, b: StateId) -> ((StateId, StateId), bool) {
+        let (x, y) = p.update(p.decode(a), p.decode(b));
+        let (x, y) = (p.encode(x), p.encode(y));
+        ((x, y), (x == a && y == b) || (x == b && y == a))
+    }
+
+    #[test]
+    fn index_space_transition_matches_figure1_exhaustively() {
+        for m in (1..=21u64).step_by(2) {
+            for d in 1..=4u32 {
+                let p = avc(m, d);
+                for a in 0..p.num_states() {
+                    for b in 0..p.num_states() {
+                        let (want, silent) = reference(&p, a, b);
+                        assert_eq!(
+                            p.transition(a, b),
+                            want,
+                            "{} meets {} (m={m}, d={d})",
+                            p.state_label(a),
+                            p.state_label(b),
+                        );
+                        assert_eq!(p.is_silent(a, b), silent, "({a},{b}) m={m} d={d}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A state id from a raw draw: with `near_zero`, one of the ids within
+    /// `d + 3` of the weak states (where averaging into ±1, zero meets
+    /// non-zero, neutralization and the residual shift all meet);
+    /// otherwise uniform over the whole space.
+    fn biased_id(p: &Avc, near_zero: bool, raw: u32) -> StateId {
+        let s = p.num_states();
+        if near_zero {
+            let window = p.d() + 3;
+            let neg_zero = p.encode(AvcState::Weak(Sign::Minus));
+            let lo = neg_zero.saturating_sub(window);
+            (lo + raw % (2 * window + 2)).min(s - 1)
+        } else {
+            raw % s
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4096))]
+
+        /// The index-space rule agrees with `update` on random pairs of
+        /// large instances, including Figure 3's n = 100001 AVC
+        /// (`Avc::with_states(100_001)` is `m = 99_997`, `d = 1`).
+        #[test]
+        fn index_space_transition_matches_figure1_on_large_instances(
+            near in (proptest::bool::ANY, proptest::bool::ANY),
+            raw in (0u32..u32::MAX, 0u32..u32::MAX),
+        ) {
+            for p in [avc(4_093, 3), avc(99_997, 1)] {
+                let a = biased_id(&p, near.0, raw.0);
+                let b = biased_id(&p, near.1, raw.1);
+                let (want, silent) = reference(&p, a, b);
+                proptest::prop_assert_eq!(p.transition(a, b), want, "({a},{b}) m={}", p.m());
+                proptest::prop_assert_eq!(p.is_silent(a, b), silent, "({a},{b}) m={}", p.m());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn transition_rejects_out_of_range_ids() {
+        let p = avc(5, 1);
+        let _ = p.transition(0, p.num_states());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use avc::population::sched::{
 };
 use avc::population::spec::RunOutcome;
 use avc::population::{Config, ConvergenceRule, MajorityInstance, Protocol};
-use avc::protocols::{Avc, Bef, Degssu, FourState};
+use avc::protocols::{Avc, AvcState, Bef, Degssu, FourState, Sign};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -165,33 +165,72 @@ fn four_state_exact_under_graph_restricted_schedules() {
 }
 
 /// AVC on graph-restricted schedules *stalls* rather than erring: its
-/// transition structure assumes the clique, and on the star it freezes in
-/// a mixed configuration. The pinned guarantees are (a) it never reports a
-/// wrong consensus, and (b) the stall is real — the configuration stops
-/// changing entirely (the paper's exactness is a safety property; lack of
-/// progress under a restricted scheduler is outside its fairness model).
+/// transition structure assumes the clique. The pinned guarantees are (a) it
+/// never reports a wrong consensus, and (b) the stall is real, by two
+/// different mechanisms, watched over a window after a long run:
+///
+/// * on the star it *livelocks*. The center has become weak, so it only
+///   adopts the sign of whichever leaf it meets and toggles between −0 and
+///   +0. The leaves, which only ever meet the weak center, never change.
+///   Many interactions are productive, so the count vector keeps
+///   alternating between two values;
+/// * on the cycle it *freezes*: no interaction is productive and the counts
+///   stop changing, while neighbouring agents may keep swapping states.
+///
+/// The paper's exactness is a safety property; lack of progress under a
+/// restricted scheduler is outside its fairness model.
 #[test]
 fn avc_never_errs_but_stalls_on_restricted_graphs() {
+    const RUN: u64 = 400_000;
+    const WINDOW: u64 = 100_000;
     let n = 25usize;
     let avc = Avc::new(5, 1).expect("valid parameters");
+    let weak = [
+        avc.encode(AvcState::Weak(Sign::Minus)),
+        avc.encode(AvcState::Weak(Sign::Plus)),
+    ];
     let inst = MajorityInstance::one_extra(n as u64);
-    let mut stalls = 0u32;
-    for sub in [Graph::star(n), Graph::cycle(n)] {
+    let (mut stalls, mut star_livelocks) = (0u32, 0u32);
+    for (star, sub) in [(true, Graph::star(n)), (false, Graph::cycle(n))] {
         for seed in 0..num_seeds() {
-            let out = run_scheduled(
-                &avc,
-                inst.a(),
-                inst.b(),
-                GraphRestricted::new(sub.clone()),
-                seed,
-                200_000,
-            );
-            match out.verdict {
-                v if v.is_consensus() => assert!(
-                    v.is_correct(avc::population::Opinion::A),
+            let config = Config::from_input(&avc, inst.a(), inst.b());
+            let scheduler = GraphRestricted::new(sub.clone());
+            let mut sim = AgentSim::with_scheduler(&avc, config, Graph::clique(n), scheduler);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let out = Driver::new(ConvergenceRule::OutputConsensus)
+                .with_max_steps(RUN)
+                .run(&mut sim, &mut rng, &mut NullObserver);
+            if out.verdict.is_consensus() {
+                assert!(
+                    out.verdict.is_correct(avc::population::Opinion::A),
                     "AVC answered wrong on a restricted graph (seed {seed})"
-                ),
-                _ => stalls += 1,
+                );
+                continue;
+            }
+            stalls += 1;
+            let leaves: Vec<_> = (1..n).map(|agent| sim.state_of(agent)).collect();
+            let events = sim.events();
+            for _ in 0..WINDOW {
+                sim.advance(&mut rng);
+                if star {
+                    assert!(
+                        weak.contains(&sim.state_of(0)),
+                        "star center left the weak states (seed {seed})"
+                    );
+                    assert!(
+                        (1..n).all(|agent| sim.state_of(agent) == leaves[agent - 1]),
+                        "a star leaf changed during the stall (seed {seed})"
+                    );
+                }
+            }
+            if star {
+                star_livelocks += u32::from(sim.events() > events);
+            } else {
+                assert_eq!(
+                    sim.events(),
+                    events,
+                    "a productive interaction on the stalled cycle (seed {seed})"
+                );
             }
         }
     }
@@ -199,6 +238,10 @@ fn avc_never_errs_but_stalls_on_restricted_graphs() {
         stalls > 0,
         "every restricted run converged — the stall finding no longer reproduces, \
          update the suite to quantify restricted-graph slowdown instead"
+    );
+    assert!(
+        star_livelocks > 0,
+        "no stalled star run was productive — the star stall is no longer a livelock"
     );
 }
 
