@@ -15,16 +15,16 @@ use crate::stats::{fraction, Summary};
 use avc_population::cached::Cached;
 use avc_population::driver::{Driver, NullObserver, Observer};
 use avc_population::engine::ChunkedSimulator;
-use avc_population::faults::{FaultEvent, FaultPlan};
+use avc_population::faults::FaultPlan;
 use avc_population::rngutil::SeedSequence;
 use avc_population::scenario::{build_erased, build_erased_with_sink};
 use avc_population::spec::RunOutcome;
 use avc_population::telemetry::{
-    keys, CellTelemetry, CountingSink, HistogramSnapshot, MetricValue, Span, TelemetryObserver,
+    keys, CellTelemetry, CountingSink, HistogramSnapshot, MetricValue, NoopSink, RegistrySnapshot,
+    Sink, Span, TelemetryObserver,
 };
 use avc_population::{
-    Config, ConvergenceRule, MajorityInstance, Opinion, Protocol, ProtocolSpec, Scenario,
-    SchedulerSpec,
+    Config, ConvergenceRule, Opinion, Protocol, ProtocolSpec, Scenario, SchedulerSpec,
 };
 use avc_protocols::{Avc, Bef, Degssu, FourState, ThreeState, Voter};
 use std::fmt;
@@ -219,21 +219,12 @@ impl StatsCollector {
 }
 
 /// Evaluates `task(i)` for `i ∈ 0..runs` under the given [`Parallelism`] and
-/// returns the results in index order.
+/// returns the results in index order, with throughput telemetry built from
+/// the event count `task` reports per trial.
 ///
 /// The output is identical for every parallelism setting; only wall-clock
 /// time differs. `task` must therefore derive any randomness it needs from
 /// the index alone (e.g. via [`SeedSequence::rng_for`]).
-pub fn run_indexed<T, F>(runs: u64, parallelism: Parallelism, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    run_indexed_with_stats(runs, parallelism, |i| (task(i), 0)).0
-}
-
-/// As [`run_indexed`], but `task` also reports an event count per trial and
-/// the call returns throughput telemetry alongside the results.
 ///
 /// # Panics
 ///
@@ -367,69 +358,6 @@ where
 
 pub use avc_population::scenario::EngineKind;
 
-/// A batch of trials on one majority instance.
-///
-/// Built with a fluent API; see the [crate-level example](crate).
-#[derive(Debug, Clone, Copy)]
-pub struct TrialPlan {
-    instance: MajorityInstance,
-    runs: u64,
-    seed: u64,
-    max_steps: u64,
-    parallelism: Parallelism,
-}
-
-impl TrialPlan {
-    /// A plan with the paper's defaults: 101 runs, unlimited steps, seed 0,
-    /// automatic parallelism (results are identical at any setting).
-    #[must_use]
-    pub fn new(instance: MajorityInstance) -> TrialPlan {
-        TrialPlan {
-            instance,
-            runs: 101,
-            seed: 0,
-            max_steps: u64::MAX,
-            parallelism: Parallelism::default(),
-        }
-    }
-
-    /// Sets the number of independent runs.
-    #[must_use]
-    pub fn runs(mut self, runs: u64) -> TrialPlan {
-        self.runs = runs;
-        self
-    }
-
-    /// Sets the master seed; trial `i` uses stream `i` of the derived
-    /// [`SeedSequence`], so results are independent of execution order.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> TrialPlan {
-        self.seed = seed;
-        self
-    }
-
-    /// Caps each run at `max_steps` scheduler steps.
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: u64) -> TrialPlan {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Sets how trials are spread across threads. Outcomes are bit-identical
-    /// for every setting; only the wall-clock time changes.
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> TrialPlan {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The majority instance under test.
-    #[must_use]
-    pub fn instance(&self) -> MajorityInstance {
-        self.instance
-    }
-}
-
 /// Outcomes of a batch of trials, with the instance's expected winner.
 #[derive(Debug, Clone)]
 pub struct TrialResults {
@@ -502,9 +430,10 @@ impl TrialResults {
 
 /// Runs one simulation to convergence on the chosen engine.
 ///
-/// Goes through [`Driver::run`] with the concrete `SmallRng`, so every
-/// engine executes its fully monomorphized chunk loop — the trial hot path
-/// has no per-step dynamic dispatch. Protocols whose state space fits under
+/// Goes through [`Driver::run_erased`], whose one virtual call per chunk
+/// lands in the engine's fully monomorphized `SmallRng` chunk loop — the
+/// trial hot path has no per-step dynamic dispatch. Protocols whose state
+/// space fits under
 /// [`Cached::MAX_TABLE_ENTRIES`](avc_population::cached::MAX_TABLE_ENTRIES)
 /// are wrapped in a [`Cached`] dense transition table before the engine is
 /// built; larger ones keep the arithmetic path. The wrap changes no RNG
@@ -517,147 +446,15 @@ pub fn run_one<P: Protocol + Clone>(
     rng: &mut rand::rngs::SmallRng,
     max_steps: u64,
 ) -> RunOutcome {
-    run_one_observed(
-        protocol,
-        config,
-        engine,
-        rule,
-        rng,
-        max_steps,
-        &mut NullObserver,
-    )
-}
-
-/// As [`run_one`], but feeding driver progress to `observer`.
-pub fn run_one_observed<P: Protocol + Clone, O: Observer + ?Sized>(
-    protocol: &P,
-    config: Config,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    rng: &mut rand::rngs::SmallRng,
-    max_steps: u64,
-    observer: &mut O,
-) -> RunOutcome {
-    match Cached::try_new(protocol.clone()) {
-        Ok(cached) => run_engine_observed(&cached, config, engine, rule, rng, max_steps, observer),
-        Err(plain) => run_engine_observed(&plain, config, engine, rule, rng, max_steps, observer),
+    let uniform = &SchedulerSpec::Uniform;
+    let mut sim = match Cached::try_new(protocol.clone()) {
+        Ok(cached) => build_erased(cached, config, engine, uniform),
+        Err(plain) => build_erased(plain, config, engine, uniform),
     }
-}
-
-/// Everything a batch loop needs beyond the protocol value: a [`Scenario`]'s
-/// execution fields plus the [`Parallelism`] knob (which is deliberately
-/// *not* part of a scenario — it never affects results).
-///
-/// Both [`TrialPlan`] entry points and [`ScenarioPlan`] lower to this, so
-/// there is exactly one batch loop and one seeding policy in the workspace.
-struct BatchSpec<'s> {
-    instance: MajorityInstance,
-    engine: EngineKind,
-    scheduler: &'s SchedulerSpec,
-    faults: &'s [FaultEvent],
-    rule: ConvergenceRule,
-    max_steps: u64,
-    runs: u64,
-    seed: u64,
-    seed_child: Option<u64>,
-    parallelism: Parallelism,
-}
-
-impl<'s> BatchSpec<'s> {
-    /// A plain uniform-scheduler, fault-free batch — the [`TrialPlan`]
-    /// semantics, unchanged byte for byte.
-    fn from_plan(
-        plan: &TrialPlan,
-        engine: EngineKind,
-        rule: ConvergenceRule,
-    ) -> BatchSpec<'static> {
-        BatchSpec {
-            instance: plan.instance,
-            engine,
-            scheduler: &SchedulerSpec::Uniform,
-            faults: &[],
-            rule,
-            max_steps: plan.max_steps,
-            runs: plan.runs,
-            seed: plan.seed,
-            seed_child: None,
-            parallelism: plan.parallelism,
-        }
-    }
-
-    fn from_scenario(scenario: &'s Scenario, parallelism: Parallelism) -> BatchSpec<'s> {
-        BatchSpec {
-            instance: scenario.instance,
-            engine: scenario.engine,
-            scheduler: &scenario.scheduler,
-            faults: &scenario.faults,
-            rule: scenario.rule,
-            max_steps: scenario.max_steps,
-            runs: scenario.runs,
-            seed: scenario.seed,
-            seed_child: scenario.seed_child,
-            parallelism,
-        }
-    }
-
-    /// The trial seed streams: the master sequence, or one of its child
-    /// families when the scenario routes through `seed_child` (grid sweeps
-    /// give each cell its own family this way).
-    fn seeds(&self) -> SeedSequence {
-        match self.seed_child {
-            Some(child) => SeedSequence::new(self.seed).child(child),
-            None => SeedSequence::new(self.seed),
-        }
-    }
-}
-
-/// Builds the spec's engine over an already-dispatched protocol (cached or
-/// arithmetic) through the [`build_erased_with_sink`] seam and drives one
-/// trial to convergence, with a [`CountingSink`] attached to the engine's
-/// telemetry seam. `protocol` is taken by value so batch callers can pass a
-/// `&Cached<P>` — engines over a shared reference reuse one table across
-/// every trial of a batch. The sink is borrowed, so the caller keeps the
-/// counts after the engine is dropped. Attaching it changes no RNG draws —
-/// the seam records only quantities the engine already computes. Fault-free
-/// specs run [`Driver::run_erased`]; faulted ones rebuild the per-trial
-/// [`FaultPlan`] (cheap: a sort of a handful of events) and run
-/// [`Driver::run_faulted_erased`].
-fn run_spec_trial_instrumented<P: Protocol + Clone, O: Observer + ?Sized>(
-    protocol: P,
-    config: Config,
-    spec: &BatchSpec<'_>,
-    rng: &mut rand::rngs::SmallRng,
-    observer: &mut O,
-    sink: &mut CountingSink,
-) -> RunOutcome {
-    let driver = Driver::new(spec.rule).with_max_steps(spec.max_steps);
-    let mut sim = build_erased_with_sink(protocol, config, spec.engine, spec.scheduler, sink)
-        .unwrap_or_else(|e| panic!("unrunnable scenario: {e}"));
-    if spec.faults.is_empty() {
-        driver.run_erased(sim.as_mut(), rng, observer)
-    } else {
-        let mut faults = FaultPlan::from_events(spec.faults.to_vec());
-        driver.run_faulted_erased(sim.as_mut(), rng, observer, &mut faults)
-    }
-}
-
-/// Builds the chosen engine over an already-dispatched protocol and drives
-/// it to convergence — the uniform-scheduler, fault-free special case of
-/// [`run_spec_trial`] for the single-run entry points.
-fn run_engine_observed<P: Protocol + Clone, O: Observer + ?Sized>(
-    protocol: P,
-    config: Config,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    rng: &mut rand::rngs::SmallRng,
-    max_steps: u64,
-    observer: &mut O,
-) -> RunOutcome {
-    let mut sim = build_erased(protocol, config, engine, &SchedulerSpec::Uniform)
-        .expect("the uniform scheduler is valid for every engine");
+    .expect("the uniform scheduler is valid for every engine");
     Driver::new(rule)
         .with_max_steps(max_steps)
-        .run_erased(sim.as_mut(), rng, observer)
+        .run_erased(sim.as_mut(), rng, &mut NullObserver)
 }
 
 /// Runs an already-constructed engine to convergence on the monomorphized
@@ -674,191 +471,109 @@ pub fn drive_to_consensus<S: ChunkedSimulator + ?Sized>(
         .run(sim, rng, &mut NullObserver)
 }
 
-/// Runs a batch of independent trials of `protocol` on the plan's instance.
+/// The one batch loop, behind every [`ScenarioPlan`] entry point.
 ///
-/// Trial `i` is seeded from stream `i` of `SeedSequence::new(plan.seed)`,
-/// making every batch reproducible run-for-run — including across
-/// [`Parallelism`] settings, which affect wall-clock time only.
-pub fn run_trials<P: Protocol + Clone + Sync>(
+/// Each worker builds the scenario's engine **once**, through the
+/// [`build_erased_with_sink`] seam with an owned sink from `sink`, and
+/// replays every trial it claims through it: [`reset_erased`] to the
+/// starting configuration, drive with a fresh observer from `observer`,
+/// then hand the outcome, the observer, the engine's drained sink
+/// ([`take_telemetry_erased`]) and the trial's start to `finish`. Reset is
+/// fresh-equivalent and records nothing (`tests/reuse_reset.rs` pins
+/// outcomes, RNG stream position and drained telemetry), so results are
+/// bit-identical to per-trial construction at every [`Parallelism`]
+/// setting; only the per-trial allocator traffic disappears. Trial `i`
+/// draws from stream `i` of the scenario's seed family, and the batch
+/// events are the trials' steps.
+///
+/// [`reset_erased`]: avc_population::engine::ErasedChunkedSim::reset_erased
+/// [`take_telemetry_erased`]: avc_population::engine::ErasedChunkedSim::take_telemetry_erased
+fn run_batch<P, T, O, X>(
+    plan: &ScenarioPlan,
     protocol: &P,
-    plan: &TrialPlan,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-) -> TrialResults {
-    run_trials_core(protocol, plan, engine, rule).0
+    sink: fn() -> T,
+    observer: fn() -> O,
+    finish: impl Fn(&RunOutcome, O, RegistrySnapshot, Span) -> X + Sync,
+) -> (Vec<(RunOutcome, X)>, BatchStats)
+where
+    P: Protocol + Clone + Sync,
+    T: Sink,
+    O: Observer,
+    X: Send,
+{
+    let scenario = &plan.scenario;
+    let seeds = match scenario.seed_child {
+        Some(child) => SeedSequence::new(scenario.seed).child(child),
+        None => SeedSequence::new(scenario.seed),
+    };
+    let instance = scenario.instance;
+    let config = Config::from_input(protocol, instance.a(), instance.b());
+    // Build the dense transition cache once per batch; worker threads share
+    // it by reference, so even a maximal (128 MiB) table is paid for once.
+    let dispatch = Cached::try_new(protocol.clone());
+    let driver = Driver::new(scenario.rule).with_max_steps(scenario.max_steps);
+    let (engine, scheduler) = (scenario.engine, &scenario.scheduler);
+    let build = || {
+        match &dispatch {
+            Ok(cached) => build_erased_with_sink(cached, config.clone(), engine, scheduler, sink()),
+            Err(plain) => build_erased_with_sink(plain, config.clone(), engine, scheduler, sink()),
+        }
+        .unwrap_or_else(|e| panic!("unrunnable scenario: {e}"))
+    };
+    run_indexed_with_ctx(scenario.runs, plan.parallelism, build, |sim, trial| {
+        let started = Span::start();
+        let mut rng = seeds.rng_for(trial);
+        let mut observer = observer();
+        // A freshly built engine is already in this state; resetting it
+        // anyway keeps one uniform per-trial path.
+        sim.reset_erased(&config);
+        let outcome = if scenario.faults.is_empty() {
+            driver.run_erased(sim.as_mut(), &mut rng, &mut observer)
+        } else {
+            let mut faults = FaultPlan::from_events(scenario.faults.clone());
+            driver.run_faulted_erased(sim.as_mut(), &mut rng, &mut observer, &mut faults)
+        };
+        let probe = finish(&outcome, observer, sim.take_telemetry_erased(), started);
+        ((outcome, probe), outcome.steps)
+    })
 }
 
-/// As [`run_trials`], folding the batch's throughput telemetry into `stats`.
-pub fn run_trials_with_stats<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    plan: &TrialPlan,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    stats: &StatsCollector,
-) -> TrialResults {
-    let (results, batch) = run_trials_core(protocol, plan, engine, rule);
-    stats.record(&batch);
-    results
-}
-
-/// As [`run_trials_with_stats`], additionally capturing per-trial telemetry
-/// and returning it aggregated into one [`CellTelemetry`].
-///
-/// Each trial runs with a [`CountingSink`] on the engine's telemetry seam
-/// (engine-level counters: steps, events, silent steps, chunk sizes,
-/// Fenwick descents, phase switches) and a [`TelemetryObserver`] on the
-/// driver's observer seam (wall-clock chunk latency). Convergence outcomes
-/// are folded in from the [`RunOutcome`]s. Per-trial snapshots are merged
-/// **in trial-index order after the batch completes**, so the `sim` half of
-/// the result is bit-identical at every [`Parallelism`] setting — the same
-/// guarantee [`TrialResults`] carries. The `wall` half (per-trial and
-/// per-chunk latencies, whole-cell wall time) is nondeterministic by
-/// nature and kept in the separate registry that exports can suppress.
+/// One trial's [`CellTelemetry`]: the engine's drained sink (steps,
+/// events, silent steps, chunk sizes, Fenwick descents, phase switches)
+/// and the convergence outcome in the deterministic `sim` half; the
+/// observer's chunk latencies and the trial's wall time in the `wall` half.
 ///
 /// The observer's deterministic half is deliberately discarded: its chunk
 /// histogram duplicates the sink's (both see the same `advance_chunk`
 /// reports), and double-counting would corrupt the merge.
-pub fn run_trials_with_telemetry<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    plan: &TrialPlan,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    stats: &StatsCollector,
-) -> (TrialResults, CellTelemetry) {
-    run_batch_with_telemetry(protocol, &BatchSpec::from_plan(plan, engine, rule), stats)
-}
-
-/// The one instrumented batch loop behind [`run_trials_with_telemetry`] and
-/// [`ScenarioPlan::run_with_telemetry`].
-fn run_batch_with_telemetry<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    spec: &BatchSpec<'_>,
-    stats: &StatsCollector,
-) -> (TrialResults, CellTelemetry) {
-    let seeds = spec.seeds();
-    let instance = spec.instance;
-    let dispatch = Cached::try_new(protocol.clone());
-    let (pairs, batch) = run_indexed_with_stats(spec.runs, spec.parallelism, |trial| {
-        let trial_span = Span::start();
-        let mut rng = seeds.rng_for(trial);
-        let config = Config::from_input(protocol, instance.a(), instance.b());
-        let mut sink = CountingSink::new();
-        let mut observer = TelemetryObserver::new();
-        let outcome = match &dispatch {
-            Ok(cached) => run_spec_trial_instrumented(
-                cached,
-                config,
-                spec,
-                &mut rng,
-                &mut observer,
-                &mut sink,
-            ),
-            Err(plain) => {
-                run_spec_trial_instrumented(plain, config, spec, &mut rng, &mut observer, &mut sink)
-            }
-        };
-        let mut cell = CellTelemetry::new();
-        cell.sim = sink.snapshot();
-        let mut convergence = HistogramSnapshot::new();
-        if outcome.verdict.is_consensus() {
-            convergence.record(outcome.steps);
-        }
-        cell.sim.set(
-            keys::SIM_CONVERGENCE_STEPS,
-            MetricValue::Histogram(convergence),
-        );
-        cell.sim.set(keys::SIM_TRIALS, MetricValue::Counter(1));
-        cell.sim.set(
-            keys::SIM_TRIALS_CONVERGED,
-            MetricValue::Counter(u64::from(outcome.verdict.is_consensus())),
-        );
-        cell.wall = observer.wall_snapshot();
-        let mut trial_ns = HistogramSnapshot::new();
-        trial_ns.record(trial_span.elapsed_ns());
-        cell.wall
-            .set(keys::WALL_TRIAL_NS, MetricValue::Histogram(trial_ns));
-        let steps = outcome.steps;
-        ((outcome, cell), steps)
-    });
-    let mut telemetry = CellTelemetry::new();
-    let mut outcomes = Vec::with_capacity(pairs.len());
-    for (outcome, cell) in pairs {
-        telemetry.merge(&cell);
-        outcomes.push(outcome);
+fn trial_telemetry(
+    outcome: &RunOutcome,
+    observer: TelemetryObserver,
+    sim: RegistrySnapshot,
+    started: Span,
+) -> CellTelemetry {
+    let mut cell = CellTelemetry::new();
+    cell.sim = sim;
+    let converged = outcome.verdict.is_consensus();
+    let mut convergence = HistogramSnapshot::new();
+    if converged {
+        convergence.record(outcome.steps);
     }
-    telemetry.wall.set(
-        keys::WALL_CELL_NS,
-        MetricValue::Counter(u64::try_from(batch.wall.as_nanos()).unwrap_or(u64::MAX)),
+    cell.sim.set(
+        keys::SIM_CONVERGENCE_STEPS,
+        MetricValue::Histogram(convergence),
     );
-    stats.record(&batch);
-    let results = TrialResults {
-        outcomes,
-        expected: instance.winner(),
-    };
-    (results, telemetry)
-}
-
-fn run_trials_core<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    plan: &TrialPlan,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-) -> (TrialResults, BatchStats) {
-    run_batch_core(protocol, &BatchSpec::from_plan(plan, engine, rule))
-}
-
-/// The one uninstrumented batch loop behind [`run_trials`] and
-/// [`ScenarioPlan::run`].
-///
-/// Each worker builds the spec's engine **once** through the
-/// [`build_erased`] seam and replays every trial it claims through it,
-/// reinitializing in place with [`reset_erased`](avc_population::engine::ErasedChunkedSim::reset_erased) between
-/// trials. Reset is fresh-equivalent (`tests/reuse_reset.rs` pins outcomes
-/// *and* RNG stream position), so results are bit-identical to per-trial
-/// construction at every [`Parallelism`] setting — only the per-trial
-/// allocator traffic disappears. The instrumented loop
-/// ([`run_batch_with_telemetry`]) keeps per-trial construction: its
-/// engines borrow a per-trial [`CountingSink`], which cannot outlive one
-/// trial, and telemetry batches are not on the sweep hot path.
-fn run_batch_core<P: Protocol + Clone + Sync>(
-    protocol: &P,
-    spec: &BatchSpec<'_>,
-) -> (TrialResults, BatchStats) {
-    let seeds = spec.seeds();
-    let instance = spec.instance;
-    // Build the dense transition cache once per batch; worker threads share
-    // it by reference, so even a maximal (128 MiB) table is paid for once.
-    let dispatch = Cached::try_new(protocol.clone());
-    let driver = Driver::new(spec.rule).with_max_steps(spec.max_steps);
-    let build = || {
-        let config = Config::from_input(protocol, instance.a(), instance.b());
-        let sim = match &dispatch {
-            Ok(cached) => build_erased(cached, config.clone(), spec.engine, spec.scheduler),
-            Err(plain) => build_erased(plain, config.clone(), spec.engine, spec.scheduler),
-        }
-        .unwrap_or_else(|e| panic!("unrunnable scenario: {e}"));
-        (sim, config)
-    };
-    let (outcomes, batch) =
-        run_indexed_with_ctx(spec.runs, spec.parallelism, build, |ctx, trial| {
-            let (sim, config) = ctx;
-            let mut rng = seeds.rng_for(trial);
-            // A freshly built engine is already in this state; resetting it
-            // anyway keeps one uniform per-trial path.
-            sim.reset_erased(config);
-            let outcome = if spec.faults.is_empty() {
-                driver.run_erased(sim.as_mut(), &mut rng, &mut NullObserver)
-            } else {
-                let mut faults = FaultPlan::from_events(spec.faults.to_vec());
-                driver.run_faulted_erased(sim.as_mut(), &mut rng, &mut NullObserver, &mut faults)
-            };
-            (outcome, outcome.steps)
-        });
-    let results = TrialResults {
-        outcomes,
-        expected: instance.winner(),
-    };
-    (results, batch)
+    cell.sim.set(keys::SIM_TRIALS, MetricValue::Counter(1));
+    cell.sim.set(
+        keys::SIM_TRIALS_CONVERGED,
+        MetricValue::Counter(u64::from(converged)),
+    );
+    cell.wall = observer.wall_snapshot();
+    let mut trial_ns = HistogramSnapshot::new();
+    trial_ns.record(started.elapsed_ns());
+    cell.wall
+        .set(keys::WALL_TRIAL_NS, MetricValue::Histogram(trial_ns));
+    cell
 }
 
 /// Resolves a [`ProtocolSpec`] to a concrete protocol value and runs `$body`
@@ -913,13 +628,13 @@ pub fn spec_states(spec: ProtocolSpec) -> u32 {
 /// Runs any [`Scenario`] — scheduler and fault scenarios included — through
 /// the deterministic parallel harness.
 ///
-/// This is [`TrialPlan`] generalized: the scenario carries every
-/// result-determining knob (protocol, engine, scheduler, faults, rule, step
-/// budget, seed policy) and the plan adds only the [`Parallelism`] setting,
-/// which never affects results. A uniform-scheduler, fault-free,
-/// child-free scenario runs the *same* seed streams and RNG draws as the
-/// equivalent [`TrialPlan`] call — the two entry points share one batch
-/// loop.
+/// The scenario carries every result-determining knob (protocol, engine,
+/// scheduler, faults, rule, step budget, seed policy) and the plan adds
+/// only the [`Parallelism`] setting, which never affects results. Every
+/// entry point runs the same batch loop, so plain, stats and telemetry
+/// runs of one scenario see the same seed streams, RNG draws and outcomes.
+///
+/// See the [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct ScenarioPlan {
     scenario: Scenario,
@@ -952,48 +667,92 @@ impl ScenarioPlan {
 
     /// Runs the scenario's batch of trials.
     ///
+    /// Trial `i` is seeded from stream `i` of `SeedSequence::new(seed)` (or
+    /// of its `seed_child` family), making every batch reproducible
+    /// run-for-run — including across [`Parallelism`] settings.
+    ///
     /// # Panics
     ///
-    /// Panics if the scenario is unrunnable: invalid AVC parameters, or a
-    /// non-uniform scheduler on a non-`agent` engine (pre-check with
-    /// [`avc_population::scenario::build_erased`] semantics via
-    /// [`Scenario`] validation at parse sites).
+    /// Panics if the scenario is unrunnable: invalid protocol parameters,
+    /// or a non-uniform scheduler on a non-`agent` engine (validate the
+    /// [`Scenario`] at parse sites).
     #[must_use]
     pub fn run(&self) -> TrialResults {
-        self.run_core().0
+        self.run_plain().0
     }
 
     /// As [`ScenarioPlan::run`], folding throughput telemetry into `stats`.
     #[must_use]
     pub fn run_with_stats(&self, stats: &StatsCollector) -> TrialResults {
-        let (results, batch) = self.run_core();
+        let (results, batch) = self.run_plain();
         stats.record(&batch);
         results
     }
 
-    /// As [`run_trials_with_telemetry`], for a scenario: per-trial
-    /// [`CountingSink`]/[`TelemetryObserver`] capture merged in trial-index
-    /// order into one [`CellTelemetry`].
+    /// As [`ScenarioPlan::run_with_stats`], additionally capturing
+    /// per-trial telemetry aggregated into one [`CellTelemetry`].
+    ///
+    /// Each worker's engine owns a [`CountingSink`] (engine-level counters),
+    /// drained after every trial, and each trial runs with a fresh
+    /// [`TelemetryObserver`] on the driver's observer seam (wall-clock chunk
+    /// latency). Convergence outcomes are folded in from the
+    /// [`RunOutcome`]s. Per-trial snapshots are merged **in trial-index
+    /// order after the batch completes**, so the `sim` half of the result is
+    /// bit-identical at every [`Parallelism`] setting — the same guarantee
+    /// [`TrialResults`] carries. The `wall` half (per-trial and per-chunk
+    /// latencies, whole-cell wall time) is nondeterministic by nature and
+    /// kept in the separate registry that exports can suppress.
     #[must_use]
     pub fn run_with_telemetry(&self, stats: &StatsCollector) -> (TrialResults, CellTelemetry) {
-        let spec = BatchSpec::from_scenario(&self.scenario, self.parallelism);
-        with_resolved_protocol!(self.scenario.protocol, |protocol| {
-            run_batch_with_telemetry(&protocol, &spec, stats)
-        })
+        let (trials, batch) = with_resolved_protocol!(self.scenario.protocol, |protocol| {
+            run_batch(
+                self,
+                &protocol,
+                CountingSink::new,
+                TelemetryObserver::new,
+                trial_telemetry,
+            )
+        });
+        stats.record(&batch);
+        let mut telemetry = CellTelemetry::new();
+        let mut outcomes = Vec::with_capacity(trials.len());
+        for (outcome, cell) in trials {
+            telemetry.merge(&cell);
+            outcomes.push(outcome);
+        }
+        telemetry.wall.set(
+            keys::WALL_CELL_NS,
+            MetricValue::Counter(u64::try_from(batch.wall.as_nanos()).unwrap_or(u64::MAX)),
+        );
+        (self.results(outcomes), telemetry)
     }
 
-    fn run_core(&self) -> (TrialResults, BatchStats) {
-        let spec = BatchSpec::from_scenario(&self.scenario, self.parallelism);
-        with_resolved_protocol!(self.scenario.protocol, |protocol| {
-            run_batch_core(&protocol, &spec)
-        })
+    fn run_plain(&self) -> (TrialResults, BatchStats) {
+        let (trials, batch) = with_resolved_protocol!(self.scenario.protocol, |protocol| {
+            run_batch(
+                self,
+                &protocol,
+                || NoopSink,
+                || NullObserver,
+                |_, _, _, _| (),
+            )
+        });
+        let outcomes = trials.into_iter().map(|(outcome, ())| outcome).collect();
+        (self.results(outcomes), batch)
+    }
+
+    fn results(&self, outcomes: Vec<RunOutcome>) -> TrialResults {
+        TrialResults {
+            outcomes,
+            expected: self.scenario.instance.winner(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avc_protocols::{FourState, ThreeState, Voter};
+    use avc_population::MajorityInstance;
 
     #[test]
     fn spec_states_agrees_with_the_state_count_formulas() {
@@ -1043,34 +802,33 @@ mod tests {
         .is_err());
     }
 
+    fn plan(protocol: ProtocolSpec, a: u64, b: u64, engine: EngineKind) -> Scenario {
+        Scenario::new(protocol, MajorityInstance::new(a, b)).engine(engine)
+    }
+
+    fn run(scenario: Scenario) -> TrialResults {
+        ScenarioPlan::new(scenario).run()
+    }
+
     #[test]
     fn trials_are_reproducible() {
-        let plan = TrialPlan::new(MajorityInstance::new(8, 5)).runs(10).seed(3);
-        let a = run_trials(
-            &FourState,
-            &plan,
-            EngineKind::Jump,
-            ConvergenceRule::OutputConsensus,
-        );
-        let b = run_trials(
-            &FourState,
-            &plan,
-            EngineKind::Jump,
-            ConvergenceRule::OutputConsensus,
-        );
+        let scenario = plan(ProtocolSpec::FourState, 8, 5, EngineKind::Jump)
+            .runs(10)
+            .seed(3);
+        let a = run(scenario.clone());
+        let b = run(scenario);
         assert_eq!(a.outcomes(), b.outcomes());
     }
 
     #[test]
     fn four_state_never_errs() {
-        let plan = TrialPlan::new(MajorityInstance::one_extra(21)).runs(30);
         for engine in [
             EngineKind::Agent,
             EngineKind::Count,
             EngineKind::Jump,
             EngineKind::Adaptive,
         ] {
-            let r = run_trials(&FourState, &plan, engine, ConvergenceRule::OutputConsensus);
+            let r = run(plan(ProtocolSpec::FourState, 11, 10, engine).runs(30));
             assert_eq!(r.error_fraction(), 0.0, "engine {engine:?}");
             assert_eq!(r.convergence_fraction(), 1.0);
         }
@@ -1079,15 +837,9 @@ mod tests {
     #[test]
     fn voter_errs_roughly_at_minority_fraction() {
         // P[error] = b/n = 5/20.
-        let plan = TrialPlan::new(MajorityInstance::new(15, 5))
+        let r = run(plan(ProtocolSpec::Voter, 15, 5, EngineKind::Count)
             .runs(300)
-            .seed(1);
-        let r = run_trials(
-            &Voter,
-            &plan,
-            EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-        );
+            .seed(1));
         assert!(
             (r.error_fraction() - 0.25).abs() < 0.08,
             "{}",
@@ -1097,39 +849,23 @@ mod tests {
 
     #[test]
     fn tie_instances_have_zero_error_fraction() {
-        let plan = TrialPlan::new(MajorityInstance::new(5, 5)).runs(5);
-        let r = run_trials(
-            &Voter,
-            &plan,
-            EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-        );
+        let r = run(plan(ProtocolSpec::Voter, 5, 5, EngineKind::Count).runs(5));
         assert_eq!(r.error_fraction(), 0.0);
     }
 
     #[test]
     fn max_steps_shows_up_as_non_convergence() {
-        let plan = TrialPlan::new(MajorityInstance::new(50, 50))
+        let r = run(plan(ProtocolSpec::Voter, 50, 50, EngineKind::Count)
             .runs(5)
-            .max_steps(3);
-        let r = run_trials(
-            &Voter,
-            &plan,
-            EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-        );
+            .max_steps(3));
         assert!(r.convergence_fraction() < 1.0);
     }
 
     #[test]
     fn three_state_runs_under_state_consensus() {
-        let plan = TrialPlan::new(MajorityInstance::new(40, 20)).runs(20);
-        let r = run_trials(
-            &ThreeState::new(),
-            &plan,
-            EngineKind::Auto,
-            ConvergenceRule::StateConsensus,
-        );
+        let r = run(plan(ProtocolSpec::ThreeState, 40, 20, EngineKind::Auto)
+            .rule(ConvergenceRule::StateConsensus)
+            .runs(20));
         assert_eq!(r.convergence_fraction(), 1.0);
         assert!(r.summary().mean > 0.0);
     }
@@ -1143,36 +879,33 @@ mod tests {
             Parallelism::Threads(5),
             Parallelism::Auto,
         ] {
-            let got = run_indexed(97, parallelism, |i| i * i);
+            let (got, stats) = run_indexed_with_stats(97, parallelism, |i| (i * i, i));
             assert_eq!(got, expected, "{parallelism:?}");
+            assert_eq!(stats.events, (0..97).sum::<u64>(), "{parallelism:?}");
         }
     }
 
     #[test]
     fn run_indexed_handles_more_workers_than_trials() {
-        let got = run_indexed(3, Parallelism::Threads(16), |i| i);
+        let (got, _) = run_indexed_with_stats(3, Parallelism::Threads(16), |i| (i, 0));
         assert_eq!(got, vec![0, 1, 2]);
-        assert!(run_indexed(0, Parallelism::Threads(4), |i| i).is_empty());
+        let (none, _) = run_indexed_with_stats(0, Parallelism::Threads(4), |i| (i, 0));
+        assert!(none.is_empty());
     }
 
     #[test]
     fn parallel_trials_match_serial_bit_for_bit() {
-        let base = TrialPlan::new(MajorityInstance::new(30, 21))
-            .runs(24)
-            .seed(7);
-        let serial = run_trials(
-            &FourState,
-            &base.parallelism(Parallelism::Serial),
-            EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
+        let base = ScenarioPlan::new(
+            plan(ProtocolSpec::FourState, 30, 21, EngineKind::Count)
+                .runs(24)
+                .seed(7),
         );
+        let serial = base.clone().parallelism(Parallelism::Serial).run();
         for workers in [2, 3, 8] {
-            let parallel = run_trials(
-                &FourState,
-                &base.parallelism(Parallelism::Threads(workers)),
-                EngineKind::Count,
-                ConvergenceRule::OutputConsensus,
-            );
+            let parallel = base
+                .clone()
+                .parallelism(Parallelism::Threads(workers))
+                .run();
             assert_eq!(serial.outcomes(), parallel.outcomes(), "{workers} workers");
             assert_eq!(serial.summary(), parallel.summary(), "{workers} workers");
         }
@@ -1180,18 +913,14 @@ mod tests {
 
     #[test]
     fn stats_account_for_every_trial_and_event() {
-        let plan = TrialPlan::new(MajorityInstance::new(10, 5))
-            .runs(12)
-            .seed(2)
-            .parallelism(Parallelism::Threads(3));
         let collector = StatsCollector::new();
-        let r = run_trials_with_stats(
-            &Voter,
-            &plan,
-            EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-            &collector,
-        );
+        let r = ScenarioPlan::new(
+            plan(ProtocolSpec::Voter, 10, 5, EngineKind::Count)
+                .runs(12)
+                .seed(2),
+        )
+        .parallelism(Parallelism::Threads(3))
+        .run_with_stats(&collector);
         let stats = collector.snapshot();
         assert_eq!(stats.trials, 12);
         let total_steps: u64 = r.outcomes().iter().map(|o| o.steps).sum();
@@ -1237,18 +966,13 @@ mod tests {
 
     #[test]
     fn telemetry_matches_outcomes_and_stats() {
-        use avc_population::telemetry::keys;
-        let plan = TrialPlan::new(MajorityInstance::new(20, 11))
-            .runs(8)
-            .seed(5);
         let collector = StatsCollector::new();
-        let (r, telemetry) = run_trials_with_telemetry(
-            &FourState,
-            &plan,
-            EngineKind::Count,
-            ConvergenceRule::OutputConsensus,
-            &collector,
-        );
+        let (r, telemetry) = ScenarioPlan::new(
+            plan(ProtocolSpec::FourState, 20, 11, EngineKind::Count)
+                .runs(8)
+                .seed(5),
+        )
+        .run_with_telemetry(&collector);
         let total_steps: u64 = r.outcomes().iter().map(|o| o.steps).sum();
         assert_eq!(telemetry.sim.counter(keys::SIM_STEPS), Some(total_steps));
         assert_eq!(telemetry.sim.counter(keys::SIM_TRIALS), Some(8));
@@ -1259,7 +983,9 @@ mod tests {
             .unwrap();
         assert_eq!(conv.count, 8);
         assert_eq!(conv.sum, total_steps);
-        assert_eq!(collector.snapshot().events, total_steps);
+        let stats = collector.snapshot();
+        assert_eq!(stats.trials, 8);
+        assert_eq!(stats.events, total_steps);
         // Wall half is populated and throughput is derivable.
         assert_eq!(
             telemetry.wall.histogram(keys::WALL_TRIAL_NS).unwrap().count,
@@ -1271,19 +997,16 @@ mod tests {
 
     #[test]
     fn telemetry_sim_half_is_parallelism_invariant() {
-        use avc_population::telemetry::keys;
-        let base = TrialPlan::new(MajorityInstance::new(25, 18))
-            .runs(12)
-            .seed(9);
+        let base = ScenarioPlan::new(
+            plan(ProtocolSpec::ThreeState, 25, 18, EngineKind::Adaptive)
+                .rule(ConvergenceRule::StateConsensus)
+                .runs(12)
+                .seed(9),
+        );
         let run = |parallelism| {
-            let collector = StatsCollector::new();
-            run_trials_with_telemetry(
-                &ThreeState::new(),
-                &base.parallelism(parallelism),
-                EngineKind::Adaptive,
-                ConvergenceRule::StateConsensus,
-                &collector,
-            )
+            base.clone()
+                .parallelism(parallelism)
+                .run_with_telemetry(&StatsCollector::new())
         };
         let (serial_r, serial_t) = run(Parallelism::Serial);
         for workers in [2, 5] {
@@ -1292,13 +1015,105 @@ mod tests {
             assert_eq!(serial_t.sim, t.sim, "{workers} workers");
         }
         // RNG-invisibility: the uninstrumented path sees identical outcomes.
-        let plain = run_trials(
-            &ThreeState::new(),
-            &base,
-            EngineKind::Adaptive,
-            ConvergenceRule::StateConsensus,
-        );
-        assert_eq!(plain.outcomes(), serial_r.outcomes());
+        assert_eq!(base.run().outcomes(), serial_r.outcomes());
         assert!(serial_t.sim.counter(keys::SIM_STEPS).unwrap() > 0);
+    }
+
+    /// The reference the reuse loop must reproduce: every trial on a freshly
+    /// built engine that borrows a fresh [`CountingSink`], the per-trial
+    /// cells merged in index order.
+    fn fresh_per_trial_telemetry(scenario: &Scenario) -> (Vec<RunOutcome>, CellTelemetry) {
+        with_resolved_protocol!(scenario.protocol, |protocol| {
+            let seeds = match scenario.seed_child {
+                Some(child) => SeedSequence::new(scenario.seed).child(child),
+                None => SeedSequence::new(scenario.seed),
+            };
+            let (a, b) = (scenario.instance.a(), scenario.instance.b());
+            let config = Config::from_input(&protocol, a, b);
+            let cached = Cached::try_new(protocol).expect("small protocols cache");
+            let driver = Driver::new(scenario.rule).with_max_steps(scenario.max_steps);
+            let mut outcomes = Vec::new();
+            let mut merged = CellTelemetry::new();
+            for trial in 0..scenario.runs {
+                let mut sink = CountingSink::new();
+                let mut sim = build_erased_with_sink(
+                    &cached,
+                    config.clone(),
+                    scenario.engine,
+                    &scenario.scheduler,
+                    &mut sink,
+                )
+                .expect("runnable scenario");
+                let mut rng = seeds.rng_for(trial);
+                let mut faults = FaultPlan::from_events(scenario.faults.clone());
+                let outcome = driver.run_faulted_erased(
+                    sim.as_mut(),
+                    &mut rng,
+                    &mut NullObserver,
+                    &mut faults,
+                );
+                drop(sim);
+                let cell = trial_telemetry(
+                    &outcome,
+                    TelemetryObserver::new(),
+                    sink.snapshot(),
+                    Span::start(),
+                );
+                merged.merge(&cell);
+                outcomes.push(outcome);
+            }
+            (outcomes, merged)
+        })
+    }
+
+    #[test]
+    fn reused_engine_telemetry_matches_fresh_per_trial_builds() {
+        use avc_population::faults::Fault;
+        let avc = ProtocolSpec::Avc { m: 7, d: 1 };
+        let scenarios = [
+            plan(ProtocolSpec::FourState, 21, 20, EngineKind::Agent),
+            plan(ProtocolSpec::ThreeState, 30, 20, EngineKind::Count),
+            plan(avc, 41, 40, EngineKind::Jump),
+            plan(ProtocolSpec::FourState, 61, 60, EngineKind::TauLeap),
+            // Margin 1 at n = 401 switches the adaptive engine to its
+            // sparse phase, so the retained jump engine is reused too.
+            plan(avc, 201, 200, EngineKind::Auto),
+            plan(ProtocolSpec::Bef { levels: 6 }, 31, 30, EngineKind::Agent)
+                .scheduler(SchedulerSpec::Biased { hot: 8, bias: 0.9 }),
+            plan(avc, 31, 30, EngineKind::Agent).scheduler(SchedulerSpec::Epoch),
+            plan(avc, 41, 40, EngineKind::Agent)
+                .fault(50, Fault::Crash { agent: 3 })
+                .fault(400, Fault::Revive { agent: 3 })
+                .fault(
+                    90,
+                    Fault::Corrupt {
+                        from: 0,
+                        to: 1,
+                        agents: 2,
+                    },
+                ),
+        ];
+        for scenario in scenarios {
+            let scenario = scenario.runs(7).seed(11).max_steps(5_000_000);
+            let (fresh_outcomes, fresh) = fresh_per_trial_telemetry(&scenario);
+            // The adaptive and faulted cases exercise what they claim to.
+            let switches = fresh.sim.counter("sim.phase_switches").unwrap();
+            assert_eq!(scenario.engine == EngineKind::Auto, switches > 0);
+            let faults = fresh.sim.counter("sim.faults").unwrap();
+            assert_eq!(scenario.faults.is_empty(), faults == 0);
+            let plain = ScenarioPlan::new(scenario.clone()).run();
+            assert_eq!(plain.outcomes(), fresh_outcomes.as_slice(), "{scenario:?}");
+            for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
+                let (r, t) = ScenarioPlan::new(scenario.clone())
+                    .parallelism(parallelism)
+                    .run_with_telemetry(&StatsCollector::new());
+                assert_eq!(
+                    r.outcomes(),
+                    plain.outcomes(),
+                    "{parallelism:?} {scenario:?}"
+                );
+                assert_eq!(t.sim, fresh.sim, "{parallelism:?} {scenario:?}");
+            }
+        }
     }
 }

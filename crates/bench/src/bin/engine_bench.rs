@@ -39,6 +39,7 @@ use avc_population::cached::Cached;
 use avc_population::driver::{Driver, NullObserver};
 use avc_population::engine::{advance_upto_step_by_step, ErasedChunkedSim, StopCondition};
 use avc_population::graph::Graph;
+use avc_population::json::Json;
 use avc_population::sampler::FenwickSampler;
 use avc_population::scenario::build_erased;
 use avc_population::telemetry::export::{atomic_write, snapshot_to_json};
@@ -47,7 +48,6 @@ use avc_population::{
     Config, ConvergenceRule, EngineKind, MajorityInstance, Protocol, SchedulerSpec,
 };
 use avc_protocols::FourState;
-use avc_store::json::Json;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::hint::black_box;

@@ -7,7 +7,7 @@ use crate::engine::{
 };
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{NoopSink, RegistrySnapshot, Sink};
 use rand::RngCore;
 
 /// Window length over which the productive fraction is estimated.
@@ -121,11 +121,6 @@ impl<P: Protocol + Clone, T: Sink> AdaptiveSim<P, T> {
     /// The attached telemetry sink.
     pub fn telemetry(&self) -> &T {
         &self.telemetry
-    }
-
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
     }
 
     /// Whether the engine has switched to the jump-chain phase.
@@ -293,6 +288,10 @@ impl<P: Protocol + Clone, T: Sink> ChunkedSimulator for AdaptiveSim<P, T> {
         };
         self.telemetry.on_chunk(report.steps, report.events);
         report
+    }
+
+    fn take_telemetry(&mut self) -> RegistrySnapshot {
+        self.telemetry.take_snapshot()
     }
 
     fn reset(&mut self, config: &Config) {

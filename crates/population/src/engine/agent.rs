@@ -6,7 +6,7 @@ use crate::faults::{Fault, FaultError};
 use crate::graph::Graph;
 use crate::protocol::{Opinion, Protocol, StateId};
 use crate::sched::{Scheduler, Uniform};
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{NoopSink, RegistrySnapshot, Sink};
 use rand::RngCore;
 
 /// A per-agent engine supporting arbitrary interaction graphs and
@@ -473,11 +473,6 @@ impl<P: Protocol, S: Scheduler, T: Sink> AgentSim<P, S, T> {
         &self.telemetry
     }
 
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
-    }
-
     /// The interaction graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -688,6 +683,10 @@ impl<P: Protocol, S: Scheduler, T: Sink> Simulator for AgentSim<P, S, T> {
 }
 
 impl<P: Protocol, S: Scheduler, T: Sink> ChunkedSimulator for AgentSim<P, S, T> {
+    fn take_telemetry(&mut self) -> RegistrySnapshot {
+        self.telemetry.take_snapshot()
+    }
+
     fn reset(&mut self, config: &Config) {
         assert_eq!(
             config.num_states(),

@@ -5,7 +5,7 @@ use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, S
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
 use crate::sampler::FenwickSampler;
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{NoopSink, RegistrySnapshot, Sink};
 use rand::{Rng, RngCore};
 
 /// A count-based engine: `O(log s)` per step, `O(s)` memory.
@@ -117,11 +117,6 @@ impl<P: Protocol, T: Sink> CountSim<P, T> {
     /// The attached telemetry sink.
     pub fn telemetry(&self) -> &T {
         &self.telemetry
-    }
-
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
     }
 
     /// The protocol being executed.
@@ -270,6 +265,10 @@ impl<P: Protocol, T: Sink> Simulator for CountSim<P, T> {
 }
 
 impl<P: Protocol, T: Sink> ChunkedSimulator for CountSim<P, T> {
+    fn take_telemetry(&mut self) -> RegistrySnapshot {
+        self.telemetry.take_snapshot()
+    }
+
     fn reset(&mut self, config: &Config) {
         assert_eq!(
             config.num_states(),

@@ -4,7 +4,7 @@ use crate::config::Config;
 use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{NoopSink, RegistrySnapshot, Sink};
 use rand::{Rng, RngCore};
 
 /// Sentinel for "state not in the live list".
@@ -201,11 +201,6 @@ impl<P: Protocol, T: Sink> JumpSim<P, T> {
     /// The attached telemetry sink.
     pub fn telemetry(&self) -> &T {
         &self.telemetry
-    }
-
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
     }
 
     /// The protocol being executed.
@@ -495,6 +490,10 @@ impl<P: Protocol, T: Sink> Simulator for JumpSim<P, T> {
 }
 
 impl<P: Protocol, T: Sink> ChunkedSimulator for JumpSim<P, T> {
+    fn take_telemetry(&mut self) -> RegistrySnapshot {
+        self.telemetry.take_snapshot()
+    }
+
     fn reset(&mut self, config: &Config) {
         assert_eq!(
             config.num_states(),

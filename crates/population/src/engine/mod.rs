@@ -31,6 +31,7 @@ use crate::config::Config;
 use crate::faults::{Fault, FaultError};
 use crate::protocol::Opinion;
 use crate::spec::{ConvergenceRule, RunOutcome, Verdict};
+use avc_telemetry::RegistrySnapshot;
 use rand::RngCore;
 
 /// Inline-checkable stopping rule for a chunked advance.
@@ -371,6 +372,17 @@ pub trait ChunkedSimulator: Simulator {
     /// different state count, or (for engines with per-agent identity) a
     /// different population size.
     fn reset(&mut self, config: &Config);
+
+    /// Drains the engine's telemetry sink ([`Sink::take_snapshot`]): the
+    /// counts recorded since the last drain, leaving the sink at zero.
+    ///
+    /// Together with [`ChunkedSimulator::reset`] this lets one engine with
+    /// an owned sink report every trial of a batch: reset, run, take. Reset
+    /// records nothing, so each snapshot equals a fresh engine's for that
+    /// trial (pinned by `tests/reuse_reset.rs`).
+    ///
+    /// [`Sink::take_snapshot`]: avc_telemetry::Sink::take_snapshot
+    fn take_telemetry(&mut self) -> RegistrySnapshot;
 }
 
 /// An object-safe view of a [`ChunkedSimulator`], monomorphized over
@@ -396,6 +408,15 @@ pub trait ErasedChunkedSim: Simulator {
     /// As [`ChunkedSimulator::reset`], behind the erased seam — same
     /// fresh-equivalence contract, same no-allocation expectation.
     fn reset_erased(&mut self, config: &Config);
+
+    /// As [`ChunkedSimulator::take_telemetry`], behind the erased seam.
+    ///
+    /// Provided so that hand-written wrappers need not implement it; the
+    /// default reports nothing, and the blanket impl forwards to the
+    /// engine.
+    fn take_telemetry_erased(&mut self) -> RegistrySnapshot {
+        RegistrySnapshot::new()
+    }
 }
 
 impl<S: ChunkedSimulator> ErasedChunkedSim for S {
@@ -409,6 +430,10 @@ impl<S: ChunkedSimulator> ErasedChunkedSim for S {
 
     fn reset_erased(&mut self, config: &Config) {
         self.reset(config);
+    }
+
+    fn take_telemetry_erased(&mut self) -> RegistrySnapshot {
+        self.take_telemetry()
     }
 }
 

@@ -20,7 +20,7 @@ use crate::config::Config;
 use crate::engine::{AdvanceReport, ChunkedSimulator, Simulator, StopCondition, StopReason};
 use crate::faults::{Fault, FaultError};
 use crate::protocol::{Opinion, Protocol, StateId};
-use avc_telemetry::{NoopSink, Sink};
+use avc_telemetry::{NoopSink, RegistrySnapshot, Sink};
 use rand::{Rng, RngCore};
 use rand_distr::{Distribution, Poisson};
 
@@ -137,11 +137,6 @@ impl<P: Protocol, T: Sink> TauLeapSim<P, T> {
     /// The attached telemetry sink.
     pub fn telemetry(&self) -> &T {
         &self.telemetry
-    }
-
-    /// The attached telemetry sink, mutably (for draining counts).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.telemetry
     }
 
     /// The protocol being executed.
@@ -439,6 +434,10 @@ impl<P: Protocol, T: Sink> ChunkedSimulator for TauLeapSim<P, T> {
         };
         self.telemetry.on_chunk(report.steps, report.events);
         report
+    }
+
+    fn take_telemetry(&mut self) -> RegistrySnapshot {
+        self.telemetry.take_snapshot()
     }
 
     fn reset(&mut self, config: &Config) {

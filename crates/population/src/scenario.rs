@@ -881,8 +881,14 @@ where
 /// As [`build_erased`], attaching a telemetry sink to the engine.
 ///
 /// With the default [`NoopSink`] the sink hooks compile to nothing, so
-/// [`build_erased`] is exactly this function; instrumented callers lend a
-/// `&mut CountingSink` (the `Sink for &mut T` forwarding impl).
+/// [`build_erased`] is exactly this function. An instrumented caller
+/// either hands the engine an owned sink (`CountingSink::new()`), which
+/// lives as long as the engine and is drained per trial through
+/// [`take_telemetry_erased`](crate::engine::ErasedChunkedSim::take_telemetry_erased)
+/// — the batch harness's way, one engine across many trials — or lends a
+/// `&mut CountingSink` (the `Sink for &mut T` forwarding impl), which
+/// borrows the sink for the engine's lifetime and leaves the counts with
+/// the caller once the engine is dropped.
 ///
 /// # Errors
 ///

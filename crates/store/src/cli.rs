@@ -17,7 +17,6 @@
 //! `--runs`, `--seed`, …). The legacy `avc-bench` binaries call
 //! [`legacy`], which is exactly `sweep` followed by `export`.
 
-use crate::json::Json;
 use crate::record::telemetry_from_json;
 use crate::specs;
 use crate::store::Store;
@@ -26,6 +25,7 @@ use avc_analysis::cli::Args;
 use avc_analysis::harness::{ScenarioPlan, StatsCollector};
 use avc_analysis::stats::Summary;
 use avc_analysis::table::{fmt_num, Table};
+use avc_population::json::Json;
 use avc_population::spec::Verdict;
 use avc_population::telemetry::export::{prometheus_text, read_lines_tolerant};
 use avc_population::telemetry::metrics::bucket_bounds;

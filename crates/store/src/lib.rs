@@ -12,14 +12,13 @@
 //! `results/*.csv` files at any `--serial`/`--threads` setting.
 //!
 //! The crate is std-only by design: the registry format must not depend on
-//! anything that could drift (see `json` for the canonical subset used).
+//! anything that could drift (see `avc_population::json` for the canonical
+//! subset used).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod hash;
-pub mod json;
 pub mod manifest;
 pub mod record;
 pub mod scenario_grid;

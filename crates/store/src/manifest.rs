@@ -10,8 +10,8 @@
 //! worker count, so a sweep interrupted under `--threads 8` can resume under
 //! `--serial` and still produce byte-identical exports.
 
-use crate::hash::sha256_hex;
-use crate::json::Json;
+use avc_population::hash::sha256_hex;
+use avc_population::json::Json;
 use std::collections::BTreeMap;
 
 /// Version of the on-disk record/manifest layout. Bump on any change to the

@@ -10,9 +10,9 @@
 //! identical to an uninterrupted one: no decimal round-trip can perturb a
 //! quantile or a mean.
 
-use crate::json::Json;
 use crate::manifest::{Manifest, SCHEMA_VERSION};
 use avc_analysis::stats::Summary;
+use avc_population::json::Json;
 use avc_population::telemetry::metrics::NUM_BUCKETS;
 use avc_population::telemetry::{CellTelemetry, HistogramSnapshot, MetricValue, RegistrySnapshot};
 use std::collections::BTreeMap;

@@ -13,9 +13,9 @@
 //! rerun) resolve last-wins in the index; [`Store::compact`] rewrites the
 //! file with only the surviving records.
 
-use crate::json::Json;
 use crate::record::Record;
 use avc_analysis::io::atomic_write;
+use avc_population::json::Json;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};

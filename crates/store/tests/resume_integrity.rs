@@ -154,11 +154,11 @@ fn killed_sweep_resumes_to_byte_identical_export() {
     );
     let mut journaled = std::collections::BTreeSet::new();
     for line in journal.lines() {
-        let parsed = avc_store::json::Json::parse(line)
+        let parsed = avc_population::json::Json::parse(line)
             .unwrap_or_else(|e| panic!("torn or corrupt journal line `{line}`: {e}"));
         let hash = parsed
             .get("hash")
-            .and_then(avc_store::json::Json::as_str)
+            .and_then(avc_population::json::Json::as_str)
             .expect("journal line missing hash");
         assert_ne!(hash, "torn", "injected torn fragment survived the resume");
         assert!(parsed.get("telemetry").is_some(), "line missing telemetry");

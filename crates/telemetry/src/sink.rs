@@ -11,7 +11,10 @@
 //!
 //! [`CountingSink`] is the working implementation: plain (non-atomic) `u64`
 //! fields because a sink is owned by exactly one engine on one thread;
-//! cross-worker aggregation happens later by merging snapshots.
+//! cross-worker aggregation happens later by merging snapshots. An engine
+//! that owns its sink reports one trial at a time through
+//! [`Sink::take_snapshot`], which returns the counts and zeroes them, so a
+//! reused engine never carries one trial's counts into the next.
 //!
 //! Hooks are *chunk-grained* where possible. Engines call
 //! [`Sink::on_chunk`] once per `advance_chunk` with the step/event deltas,
@@ -54,6 +57,14 @@ pub trait Sink {
     /// The adaptive engine switched dense/sparse phase.
     #[inline(always)]
     fn on_phase_switch(&mut self) {}
+
+    /// Drains the sink: returns the deterministic `sim.*` snapshot of
+    /// everything recorded since the last drain and zeroes the counts, so
+    /// an engine that owns its sink can report trial after trial without
+    /// being rebuilt. Sinks that record nothing return an empty snapshot.
+    fn take_snapshot(&mut self) -> RegistrySnapshot {
+        RegistrySnapshot::new()
+    }
 }
 
 /// The default sink: records nothing, compiles to nothing.
@@ -179,6 +190,10 @@ impl Sink for CountingSink {
     fn on_phase_switch(&mut self) {
         self.switches += 1;
     }
+
+    fn take_snapshot(&mut self) -> RegistrySnapshot {
+        std::mem::take(self).snapshot()
+    }
 }
 
 /// A mutable reference forwards to the underlying sink, so engines can
@@ -204,6 +219,10 @@ impl<T: Sink> Sink for &mut T {
     #[inline(always)]
     fn on_phase_switch(&mut self) {
         (**self).on_phase_switch();
+    }
+
+    fn take_snapshot(&mut self) -> RegistrySnapshot {
+        (**self).take_snapshot()
     }
 }
 
@@ -240,6 +259,22 @@ mod tests {
         assert_eq!(snap.counter("sim.events"), Some(3));
         assert_eq!(snap.counter("sim.silent_steps"), Some(7));
         assert_eq!(snap.histogram("sim.chunk_steps").unwrap().count, 1);
+    }
+
+    #[test]
+    fn take_snapshot_drains_the_counts() {
+        let mut sink = CountingSink::new();
+        sink.on_chunk(10, 3);
+        sink.on_phase_switch();
+        let expected = sink.snapshot();
+        // Through the `&mut T` forwarding impl, as a lent sink is drained.
+        fn drain<T: Sink>(mut sink: T) -> RegistrySnapshot {
+            sink.take_snapshot()
+        }
+        assert_eq!(drain(&mut sink), expected);
+        assert_eq!(sink, CountingSink::new());
+        assert_eq!(sink.take_snapshot(), CountingSink::new().snapshot());
+        assert!(NoopSink.take_snapshot().is_empty());
     }
 
     #[test]

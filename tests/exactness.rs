@@ -2,26 +2,27 @@
 //! minority opinion — statistically at simulation scale, and exhaustively
 //! (over all schedules) at model-checking scale.
 
-use avc::analysis::harness::{run_trials, EngineKind, TrialPlan};
-use avc::population::{ConvergenceRule, MajorityInstance};
+use avc::analysis::harness::{ScenarioPlan, TrialResults};
+use avc::population::{MajorityInstance, ProtocolSpec, Scenario};
 use avc::protocols::{Avc, FourState};
 use avc::verify::reach::check_exact_majority;
+
+/// Runs `runs` trials of AVC(`m`, `d`) on the default `auto` engine under
+/// output consensus.
+fn run_avc(m: u64, d: u32, instance: MajorityInstance, runs: u64, seed: u64) -> TrialResults {
+    let scenario = Scenario::new(ProtocolSpec::Avc { m, d }, instance)
+        .runs(runs)
+        .seed(seed);
+    ScenarioPlan::new(scenario).run()
+}
 
 /// AVC with assorted parameters never errs across margins and seeds.
 #[test]
 fn avc_exact_across_margins_and_parameters() {
     for (m, d) in [(1u64, 1u32), (5, 1), (15, 1), (15, 3), (63, 2)] {
-        let avc = Avc::new(m, d).expect("valid parameters");
         for (n, eps) in [(101u64, 0.01), (501, 0.002), (1_001, 0.05)] {
-            let plan = TrialPlan::new(MajorityInstance::with_margin(n, eps))
-                .runs(25)
-                .seed(m * 100 + d as u64);
-            let results = run_trials(
-                &avc,
-                &plan,
-                EngineKind::Auto,
-                ConvergenceRule::OutputConsensus,
-            );
+            let instance = MajorityInstance::with_margin(n, eps);
+            let results = run_avc(m, d, instance, 25, m * 100 + d as u64);
             assert_eq!(
                 results.error_fraction(),
                 0.0,
@@ -36,16 +37,7 @@ fn avc_exact_across_margins_and_parameters() {
 /// analysis assumes A-majority w.l.o.g., the code must not).
 #[test]
 fn avc_exact_when_b_is_majority() {
-    let avc = Avc::new(9, 1).expect("valid parameters");
-    let plan = TrialPlan::new(MajorityInstance::new(200, 301))
-        .runs(25)
-        .seed(8);
-    let results = run_trials(
-        &avc,
-        &plan,
-        EngineKind::Auto,
-        ConvergenceRule::OutputConsensus,
-    );
+    let results = run_avc(9, 1, MajorityInstance::new(200, 301), 25, 8);
     assert_eq!(results.error_fraction(), 0.0);
 }
 
@@ -86,14 +78,6 @@ fn four_state_exhaustively_exact_small_n() {
 #[test]
 fn single_agent_advantage_always_decides_correctly() {
     let avc = Avc::with_states(1_001).expect("valid budget");
-    let plan = TrialPlan::new(MajorityInstance::one_extra(1_001))
-        .runs(60)
-        .seed(13);
-    let results = run_trials(
-        &avc,
-        &plan,
-        EngineKind::Auto,
-        ConvergenceRule::OutputConsensus,
-    );
+    let results = run_avc(avc.m(), avc.d(), MajorityInstance::one_extra(1_001), 60, 13);
     assert_eq!(results.error_fraction(), 0.0);
 }

@@ -9,13 +9,15 @@
 //! batch results scheduling-dependent). These tests pin that contract
 //! across all five engines through the erased seam the batch loop uses,
 //! for dirty states both mid-run and post-consensus, for resets that
-//! change the population (count-space engines), and for the stateful
-//! epoch-batched scheduler.
+//! change the population (count-space engines), for the stateful
+//! epoch-batched scheduler, and for an engine that owns its telemetry sink
+//! and is drained after every trial.
 
 use avc::population::driver::{Driver, NullObserver};
 use avc::population::engine::ErasedChunkedSim;
-use avc::population::scenario::build_erased;
+use avc::population::scenario::{build_erased, build_erased_with_sink};
 use avc::population::spec::RunOutcome;
+use avc::population::telemetry::{CountingSink, RegistrySnapshot};
 use avc::population::{Config, ConvergenceRule, EngineKind, Protocol, SchedulerSpec};
 use avc::protocols::{Avc, FourState, ThreeState};
 use proptest::prelude::*;
@@ -171,6 +173,46 @@ fn many_consecutive_resets_stay_fresh_equivalent() {
             let reused = drive(sim.as_mut(), seed);
             let fresh = fresh_run(&FourState, &config, engine, &SchedulerSpec::Uniform, seed);
             assert_fresh_equivalent(&fresh, &reused, &format!("{engine:?} trial {trial}"));
+        }
+    }
+}
+
+/// An engine that owns its sink reports one trial at a time: run trial A,
+/// take, reset, run trial B, take. Each snapshot must equal a fresh
+/// engine's for that trial, so a take that leaves counts behind, or a
+/// reset that records a chunk or a phase switch, shows up here.
+#[test]
+fn owned_sink_take_reset_take_matches_fresh() {
+    // Margin 1 at n = 201 sends the adaptive engine to its sparse phase.
+    let config = Config::from_input(&FourState, 101, 100);
+    for engine in ENGINES {
+        let build = || {
+            build_erased_with_sink(
+                FourState,
+                config.clone(),
+                engine,
+                &SchedulerSpec::Uniform,
+                CountingSink::new(),
+            )
+            .expect("runnable combination")
+        };
+        let fresh = |seed| -> RegistrySnapshot {
+            let mut sim = build();
+            let _ = drive(sim.as_mut(), seed);
+            sim.take_telemetry_erased()
+        };
+        let mut sim = build();
+        let _ = drive(sim.as_mut(), 7);
+        let first = sim.take_telemetry_erased();
+        assert_eq!(first, fresh(7), "{engine:?}: trial A");
+        sim.reset_erased(&config);
+        let _ = drive(sim.as_mut(), 8);
+        let second = sim.take_telemetry_erased();
+        assert_eq!(second, fresh(8), "{engine:?}: trial B after take + reset");
+        assert!(second.counter("sim.steps").unwrap() > 0, "{engine:?}");
+        if engine == EngineKind::Adaptive {
+            assert!(first.counter("sim.phase_switches").unwrap() > 0);
+            assert!(second.counter("sim.phase_switches").unwrap() > 0);
         }
     }
 }
