@@ -86,29 +86,6 @@ pub struct Point {
     pub summary: Summary,
 }
 
-/// Runs the ablation at margin `ε = 1/n`.
-///
-/// # Panics
-///
-/// Panics if the budget cannot accommodate some `d` (needs
-/// `m = budget − 2d − 1 ≥ 1`).
-#[must_use]
-pub fn run(config: &Config) -> Vec<Point> {
-    run_with_stats(config, &StatsCollector::new())
-}
-
-/// As [`run`], folding per-point throughput telemetry into `stats`.
-///
-/// # Panics
-///
-/// As [`run`].
-#[must_use]
-pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Vec<Point> {
-    (0..config.ds.len())
-        .map(|i| run_point(config, i, stats))
-        .collect()
-}
-
 /// Lowers one `(m, d)` point to a declarative run scenario; `i` indexes
 /// [`Config::ds`]. The point's seed depends only on the index, so it reruns
 /// identically in isolation.
@@ -186,9 +163,17 @@ pub fn table(points: &[Point], config: &Config) -> Table {
 mod tests {
     use super::*;
 
+    /// Every point of `config`, in the `ablation_d` sweep spec's `d` order.
+    fn points(config: &Config) -> Vec<Point> {
+        let stats = StatsCollector::new();
+        (0..config.ds.len())
+            .map(|i| run_point(config, i, &stats))
+            .collect()
+    }
+
     #[test]
     fn all_splits_converge_exactly() {
-        let points = run(&Config::quick());
+        let points = points(&Config::quick());
         assert_eq!(points.len(), 2);
         for p in &points {
             assert_eq!(p.s, p.m + 2 * p.d as u64 + 1);
@@ -199,7 +184,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "too small")]
     fn rejects_infeasible_budget() {
-        let _ = run(&Config {
+        let _ = points(&Config {
             n: 101,
             state_budget: 8,
             ds: vec![4],

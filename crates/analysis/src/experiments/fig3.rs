@@ -98,28 +98,6 @@ pub struct Cell {
 /// [`Cell::protocol`] labels differ (e.g. `avc(s=...)`).
 pub const PROTOCOL_KEYS: [&str; 3] = ["three_state", "four_state", "avc"];
 
-/// Runs the full experiment and returns one cell per `(n, protocol)`.
-///
-/// The 3-state protocol is measured to its terminal all-`x`/all-`y` state
-/// ([`ConvergenceRule::StateConsensus`]); the exact protocols to output
-/// consensus, which for them is stable (Lemma A.1).
-#[must_use]
-pub fn run(config: &Config) -> Vec<Cell> {
-    run_with_stats(config, &StatsCollector::new())
-}
-
-/// As [`run`], folding per-cell throughput telemetry into `stats`.
-#[must_use]
-pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for ni in 0..config.ns.len() {
-        for pi in 0..PROTOCOL_KEYS.len() {
-            cells.push(run_cell(config, ni, pi, stats));
-        }
-    }
-    cells
-}
-
 /// Lowers one `(n, protocol)` cell to a declarative run scenario: `ni`
 /// indexes [`Config::ns`], `pi` indexes [`PROTOCOL_KEYS`]. The 3-state
 /// protocol is measured to its terminal all-`x`/all-`y` state
@@ -256,9 +234,19 @@ pub fn error_table(cells: &[Cell]) -> Table {
 mod tests {
     use super::*;
 
+    /// Every cell of `config`, in the `fig3` sweep spec's `(n, protocol)`
+    /// order.
+    fn cells(config: &Config) -> Vec<Cell> {
+        let stats = StatsCollector::new();
+        (0..config.ns.len())
+            .flat_map(|ni| (0..PROTOCOL_KEYS.len()).map(move |pi| (ni, pi)))
+            .map(|(ni, pi)| run_cell(config, ni, pi, &stats))
+            .collect()
+    }
+
     #[test]
     fn quick_run_reproduces_figure3_shape() {
-        let cells = run(&Config {
+        let cells = cells(&Config {
             ns: vec![101, 1_001],
             runs: 9,
             seed: 1,
@@ -298,7 +286,7 @@ mod tests {
 
     #[test]
     fn tables_have_one_row_per_cell() {
-        let cells = run(&Config {
+        let cells = cells(&Config {
             ns: vec![11],
             runs: 3,
             seed: 2,

@@ -103,31 +103,6 @@ pub struct Point {
     pub telemetry: CellTelemetry,
 }
 
-/// Runs the sweep. Points are emitted in `(s, ε)` lexicographic order.
-///
-/// # Panics
-///
-/// Panics if a state count is below 4 or the population is even (the
-/// one-agent-advantage margins need odd `n` only when `εn` rounds to 1;
-/// margins are realized via [`MajorityInstance::with_margin`], which handles
-/// parity, so only degenerate configurations panic).
-#[must_use]
-pub fn run(config: &Config) -> Vec<Point> {
-    run_with_stats(config, &StatsCollector::new())
-}
-
-/// As [`run`], folding per-point throughput telemetry into `stats`.
-#[must_use]
-pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Vec<Point> {
-    let mut points = Vec::new();
-    for si in 0..config.state_counts.len() {
-        for ei in 0..config.epsilons.len() {
-            points.push(run_point(config, si, ei, stats));
-        }
-    }
-    points
-}
-
 /// Lowers one `(s, ε)` point to a declarative run scenario: `si` indexes
 /// [`Config::state_counts`], `ei` indexes [`Config::epsilons`]. Each
 /// point's seed is derived from the grid indices alone, so a point reruns
@@ -209,9 +184,18 @@ pub fn table(points: &[Point], n: u64) -> Table {
 mod tests {
     use super::*;
 
+    /// Every point of `config`, in the `fig4` sweep spec's `(s, ε)` order.
+    fn points(config: &Config) -> Vec<Point> {
+        let stats = StatsCollector::new();
+        (0..config.state_counts.len())
+            .flat_map(|si| (0..config.epsilons.len()).map(move |ei| (si, ei)))
+            .map(|(si, ei)| run_point(config, si, ei, &stats))
+            .collect()
+    }
+
     #[test]
     fn sweep_shows_speedup_in_s_and_slowdown_in_small_eps() {
-        let points = run(&Config {
+        let points = points(&Config {
             n: 2_001,
             state_counts: vec![4, 34],
             epsilons: vec![1e-3, 1e-1],
@@ -240,7 +224,7 @@ mod tests {
 
     #[test]
     fn table_shape() {
-        let points = run(&Config {
+        let points = points(&Config {
             n: 501,
             state_counts: vec![4],
             epsilons: vec![0.1],

@@ -87,22 +87,6 @@ pub struct Outcome {
     pub slope: f64,
 }
 
-/// Runs the sweep and fits the exponent.
-#[must_use]
-pub fn run(config: &Config) -> Outcome {
-    run_with_stats(config, &StatsCollector::new())
-}
-
-/// As [`run`], folding per-margin throughput telemetry into `stats`.
-#[must_use]
-pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Outcome {
-    let points: Vec<Point> = (0..config.epsilons.len())
-        .map(|i| run_point(config, i, stats))
-        .collect();
-    let slope = fit_slope(&points);
-    Outcome { points, slope }
-}
-
 /// Lowers one margin point to a declarative run scenario; `i` indexes
 /// [`Config::epsilons`]. Seeded by the index alone, so the point reruns
 /// identically in isolation.
@@ -171,9 +155,20 @@ pub fn table(outcome: &Outcome, n: u64) -> Table {
 mod tests {
     use super::*;
 
+    /// Every margin point of `config`, in the `lb_four_state` sweep spec's
+    /// order, with the fitted exponent.
+    fn outcome(config: &Config) -> Outcome {
+        let stats = StatsCollector::new();
+        let points: Vec<Point> = (0..config.epsilons.len())
+            .map(|i| run_point(config, i, &stats))
+            .collect();
+        let slope = fit_slope(&points);
+        Outcome { points, slope }
+    }
+
     #[test]
     fn scaling_exponent_is_near_one() {
-        let outcome = run(&Config {
+        let outcome = outcome(&Config {
             n: 4_001,
             epsilons: vec![1e-3, 3.16e-3, 1e-2, 3.16e-2],
             runs: 15,
@@ -195,7 +190,7 @@ mod tests {
 
     #[test]
     fn table_embeds_slope() {
-        let outcome = run(&Config::quick());
+        let outcome = outcome(&Config::quick());
         let t = table(&outcome, Config::quick().n);
         assert!(t.title().contains("fitted exponent"));
         assert_eq!(t.num_rows(), 3);

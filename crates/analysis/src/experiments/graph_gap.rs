@@ -6,10 +6,11 @@
 //! with very different spectral gaps (clique, star, random-regular, grid,
 //! cycle) and reports both, demonstrating the slowdown tracks `1/gap`.
 
-use crate::harness::{drive_to_consensus, run_indexed_with_stats, Parallelism, StatsCollector};
+use crate::harness::{run_indexed_with_stats, Parallelism, StatsCollector};
 use crate::stats::Summary;
 use crate::table::{fmt_num, Table};
 use avc_population::cached::Cached;
+use avc_population::driver::{Driver, NullObserver};
 use avc_population::engine::AgentSim;
 use avc_population::graph::Graph;
 use avc_population::rngutil::SeedSequence;
@@ -119,20 +120,6 @@ pub fn topologies(n: usize, seed: u64) -> Vec<(String, Graph)> {
     ]
 }
 
-/// Runs the experiment.
-#[must_use]
-pub fn run(config: &Config) -> Vec<Point> {
-    run_with_stats(config, &StatsCollector::new())
-}
-
-/// As [`run`], folding per-topology throughput telemetry into `stats`.
-#[must_use]
-pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Vec<Point> {
-    (0..topologies(config.n, config.seed).len())
-        .map(|gi| run_point(config, gi, stats))
-        .collect()
-}
-
 /// Runs one topology; `gi` indexes [`topologies`]`(config.n, config.seed)`.
 /// Trial seeds derive from the topology index alone, so a topology reruns
 /// identically in isolation (the basis of checkpoint/resume).
@@ -160,12 +147,9 @@ pub fn run_point(config: &Config, gi: usize, stats: &StatsCollector) -> Point {
         let mut rng = topology_seeds.rng_for(trial);
         let initial = PopulationConfig::from_input(&FourState, inst.a(), inst.b());
         let mut sim = AgentSim::new(protocol_ref, initial, graph_ref.clone());
-        let out = drive_to_consensus(
-            &mut sim,
-            ConvergenceRule::OutputConsensus,
-            &mut rng,
-            config.max_steps,
-        );
+        let out = Driver::new(ConvergenceRule::OutputConsensus)
+            .with_max_steps(config.max_steps)
+            .run(&mut sim, &mut rng, &mut NullObserver);
         (out, out.steps)
     });
     stats.record(&batch);
@@ -228,7 +212,11 @@ mod tests {
     #[test]
     fn slow_graphs_have_small_gaps_and_long_times() {
         let config = Config::quick();
-        let points = run(&config);
+        // The `graph_gap` sweep spec's topology order.
+        let stats = StatsCollector::new();
+        let points: Vec<Point> = (0..topologies(config.n, config.seed).len())
+            .map(|gi| run_point(&config, gi, &stats))
+            .collect();
         assert_eq!(points.len(), 5);
         let get = |label: &str| points.iter().find(|p| p.label.starts_with(label)).unwrap();
 

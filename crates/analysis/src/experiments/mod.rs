@@ -1,8 +1,11 @@
 //! Paper experiments, one module per figure/study.
 //!
 //! Each module exposes a `Config` (with paper defaults and a `quick()`
-//! downscaled variant for CI), a `run` function producing [`Table`]s, and is
-//! driven by a binary of the same name in the `avc-bench` crate.
+//! downscaled variant for CI), a per-cell runner (`run_cell`/`run_point`;
+//! for [`dynamics`], its single-run `run`) and the table builders that
+//! render its rows as [`Table`]s. The cell grid itself lives in the
+//! matching `avc sweep` spec of the `avc-store` crate, which visits the
+//! cells, checkpoints each one and exports the CSVs.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -28,13 +31,13 @@ pub mod three_state_error;
 
 /// Writes a table as CSV under `results/` and prints its markdown rendering.
 ///
-/// The experiment binaries all report through this helper so outputs land
+/// `avc export` reports every table through this helper so outputs land
 /// consistently in one place.
 ///
 /// # Panics
 ///
-/// Panics if the CSV cannot be written (experiment binaries have no
-/// meaningful recovery).
+/// Panics if the CSV cannot be written (an export has no meaningful
+/// recovery).
 pub fn report(table: &crate::table::Table, out_dir: &str, file_stem: &str) {
     let path = std::path::Path::new(out_dir).join(format!("{file_stem}.csv"));
     table

@@ -340,22 +340,6 @@ pub fn cell_scenario(config: &Config, pi: usize, si: usize) -> RunScenario {
     run
 }
 
-/// Runs the experiment.
-#[must_use]
-pub fn run(config: &Config) -> Vec<Point> {
-    run_with_stats(config, &StatsCollector::new())
-}
-
-/// As [`run`], folding per-cell throughput telemetry into `stats`.
-#[must_use]
-pub fn run_with_stats(config: &Config, stats: &StatsCollector) -> Vec<Point> {
-    let num_scenarios = scenarios(config.n).len();
-    (0..PROTOCOLS.len())
-        .flat_map(|pi| (0..num_scenarios).map(move |si| (pi, si)))
-        .map(|(pi, si)| run_point(config, pi, si, stats))
-        .collect()
-}
-
 /// Runs one cell through the shared [`ScenarioPlan`] harness; `pi` indexes
 /// [`PROTOCOLS`], `si` indexes [`scenarios`]`(config.n)`. Trial seeds
 /// derive from `(pi, si)` alone (via the scenario's `seed_child`), so a
@@ -476,7 +460,13 @@ mod tests {
     #[test]
     fn quick_grid_is_exact_where_the_paper_says_so() {
         let config = Config::quick();
-        let points = run(&config);
+        // The `robustness` sweep spec's `(protocol, scenario)` order.
+        let stats = StatsCollector::new();
+        let num_scenarios = scenarios(config.n).len();
+        let points: Vec<Point> = (0..PROTOCOLS.len())
+            .flat_map(|pi| (0..num_scenarios).map(move |si| (pi, si)))
+            .map(|(pi, si)| run_point(&config, pi, si, &stats))
+            .collect();
         assert_eq!(points.len(), PROTOCOLS.len() * scenarios(config.n).len());
         for p in &points {
             // Exactness: no scenario — adversarial or faulted — may

@@ -14,18 +14,15 @@
 use crate::stats::{fraction, Summary};
 use avc_population::cached::Cached;
 use avc_population::driver::{Driver, NullObserver, Observer};
-use avc_population::engine::ChunkedSimulator;
 use avc_population::faults::FaultPlan;
 use avc_population::rngutil::SeedSequence;
-use avc_population::scenario::{build_erased, build_erased_with_sink};
+use avc_population::scenario::build_erased_with_sink;
 use avc_population::spec::RunOutcome;
 use avc_population::telemetry::{
     keys, CellTelemetry, CountingSink, HistogramSnapshot, MetricValue, NoopSink, RegistrySnapshot,
     Sink, Span, TelemetryObserver,
 };
-use avc_population::{
-    Config, ConvergenceRule, Opinion, Protocol, ProtocolSpec, Scenario, SchedulerSpec,
-};
+use avc_population::{Config, Opinion, Protocol, ProtocolSpec, Scenario};
 use avc_protocols::{Avc, Bef, Degssu, FourState, ThreeState, Voter};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -428,49 +425,6 @@ impl TrialResults {
     }
 }
 
-/// Runs one simulation to convergence on the chosen engine.
-///
-/// Goes through [`Driver::run_erased`], whose one virtual call per chunk
-/// lands in the engine's fully monomorphized `SmallRng` chunk loop — the
-/// trial hot path has no per-step dynamic dispatch. Protocols whose state
-/// space fits under
-/// [`Cached::MAX_TABLE_ENTRIES`](avc_population::cached::MAX_TABLE_ENTRIES)
-/// are wrapped in a [`Cached`] dense transition table before the engine is
-/// built; larger ones keep the arithmetic path. The wrap changes no RNG
-/// draws and no results — only per-step cost.
-pub fn run_one<P: Protocol + Clone>(
-    protocol: &P,
-    config: Config,
-    engine: EngineKind,
-    rule: ConvergenceRule,
-    rng: &mut rand::rngs::SmallRng,
-    max_steps: u64,
-) -> RunOutcome {
-    let uniform = &SchedulerSpec::Uniform;
-    let mut sim = match Cached::try_new(protocol.clone()) {
-        Ok(cached) => build_erased(cached, config, engine, uniform),
-        Err(plain) => build_erased(plain, config, engine, uniform),
-    }
-    .expect("the uniform scheduler is valid for every engine");
-    Driver::new(rule)
-        .with_max_steps(max_steps)
-        .run_erased(sim.as_mut(), rng, &mut NullObserver)
-}
-
-/// Runs an already-constructed engine to convergence on the monomorphized
-/// driver path (convenience for callers that build their own simulator,
-/// e.g. on a non-clique graph).
-pub fn drive_to_consensus<S: ChunkedSimulator + ?Sized>(
-    sim: &mut S,
-    rule: ConvergenceRule,
-    rng: &mut rand::rngs::SmallRng,
-    max_steps: u64,
-) -> RunOutcome {
-    Driver::new(rule)
-        .with_max_steps(max_steps)
-        .run(sim, rng, &mut NullObserver)
-}
-
 /// The one batch loop, behind every [`ScenarioPlan`] entry point.
 ///
 /// Each worker builds the scenario's engine **once**, through the
@@ -752,7 +706,7 @@ impl ScenarioPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avc_population::MajorityInstance;
+    use avc_population::{ConvergenceRule, MajorityInstance, SchedulerSpec};
 
     #[test]
     fn spec_states_agrees_with_the_state_count_formulas() {

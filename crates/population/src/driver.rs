@@ -235,28 +235,6 @@ impl Driver {
         })
     }
 
-    /// As [`Driver::run_faulted`] over the object-safe
-    /// [`Simulator::advance_upto`] boundary.
-    ///
-    /// # Panics
-    ///
-    /// As [`Driver::run_faulted`].
-    pub fn run_faulted_dyn<S, O>(
-        &self,
-        sim: &mut S,
-        rng: &mut dyn RngCore,
-        observer: &mut O,
-        faults: &mut FaultPlan,
-    ) -> RunOutcome
-    where
-        S: Simulator + ?Sized,
-        O: Observer + ?Sized,
-    {
-        self.drive(sim, rng, observer, Some(faults), |s, r, stop| {
-            s.advance_upto(r, stop)
-        })
-    }
-
     /// As [`Driver::run`] over the erased [`ErasedChunkedSim`] boundary —
     /// the scenario builder's dispatch seam.
     ///

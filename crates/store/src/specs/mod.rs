@@ -1,13 +1,12 @@
-//! Named sweep specs: one per legacy bench binary.
+//! Named sweep specs: one per figure or study of the paper.
 //!
 //! Each spec turns parsed CLI flags into a [`Plan`] — the cell grid with
-//! content-addressed manifests plus the export assembly that regenerates
-//! the exact `results/*.csv` files the legacy binaries wrote. The legacy
-//! `avc-bench` bins are thin aliases over these specs, so the store path
-//! and the legacy path execute the *same* per-cell code
-//! (`fig3::run_cell`, `fig4::run_point`, …) and render rows through the
-//! same table builders: byte-identity between the two is by construction,
-//! not by test luck.
+//! content-addressed manifests plus the export assembly that writes the
+//! `results/*.csv` files. The spec is the only place a figure's cell grid
+//! is written down: its cells call the experiment modules' per-cell
+//! runners (`fig3::run_cell`, `fig4::run_point`, …) and render rows
+//! through their table builders, and `avc sweep <name>` followed by
+//! `avc export <name>` is the one way to regenerate a figure.
 
 mod checks;
 mod figures;

@@ -16,12 +16,16 @@
 //! * `--engine` — `auto` (default), `agent`, `count`, `jump`, `adaptive`,
 //!   `tau-leap`;
 //! * `--runs`, `--seed`, `--max-steps`, `--verbose`.
+//!
+//! The flags describe one [`Scenario`], run through the same
+//! [`ScenarioPlan`] batch loop as `avc run` and every sweep cell: trial `i`
+//! draws from stream `i` of `SeedSequence::new(seed)`, and results do not
+//! depend on the number of worker threads.
 
 use avc::analysis::cli::Args;
-use avc::analysis::harness::{run_one, EngineKind};
+use avc::analysis::harness::{EngineKind, ScenarioPlan};
 use avc::analysis::stats::Summary;
-use avc::population::rngutil::SeedSequence;
-use avc::population::{Config, ConvergenceRule, MajorityInstance, Protocol};
+use avc::population::{ConvergenceRule, MajorityInstance, Protocol, ProtocolSpec, Scenario};
 use avc::protocols::{Avc, FourState, ThreeState, Voter};
 
 fn main() {
@@ -41,7 +45,7 @@ fn main() {
 
     let instance = MajorityInstance::with_margin(n, eps);
     let name = args.get("protocol").unwrap_or("avc").to_string();
-    let (protocol, rule): (Box<dyn DynProtocol>, ConvergenceRule) = match name.as_str() {
+    let (protocol, label, rule) = match name.as_str() {
         "avc" => {
             let avc = if let Some(m) = args.get("m") {
                 let m: u64 = m.parse().expect("--m expects an odd integer");
@@ -50,29 +54,53 @@ fn main() {
             } else {
                 Avc::with_states(args.get_u64("states", n)).expect("valid state budget")
             };
-            (Box::new(avc), ConvergenceRule::OutputConsensus)
+            let spec = ProtocolSpec::Avc {
+                m: avc.m(),
+                d: avc.d(),
+            };
+            (
+                spec,
+                avc.name().to_string(),
+                ConvergenceRule::OutputConsensus,
+            )
         }
-        "four-state" => (Box::new(FourState), ConvergenceRule::OutputConsensus),
-        "three-state" => (Box::new(ThreeState::new()), ConvergenceRule::StateConsensus),
-        "voter" => (Box::new(Voter), ConvergenceRule::OutputConsensus),
+        "four-state" => (
+            ProtocolSpec::FourState,
+            FourState.name().to_string(),
+            ConvergenceRule::OutputConsensus,
+        ),
+        "three-state" => (
+            ProtocolSpec::ThreeState,
+            ThreeState::new().name().to_string(),
+            ConvergenceRule::StateConsensus,
+        ),
+        "voter" => (
+            ProtocolSpec::Voter,
+            Voter.name().to_string(),
+            ConvergenceRule::OutputConsensus,
+        ),
         other => panic!("unknown protocol `{other}` (avc|four-state|three-state|voter)"),
     };
 
     println!(
-        "{}: n = {n}, a = {}, b = {} (eps = {:.3e}), engine {engine:?}, {runs} runs",
-        protocol.name_dyn(),
+        "{label}: n = {n}, a = {}, b = {} (eps = {:.3e}), engine {engine:?}, {runs} runs",
         instance.a(),
         instance.b(),
         instance.margin()
     );
 
-    let seeds = SeedSequence::new(seed);
+    let scenario = Scenario::new(protocol, instance)
+        .engine(engine)
+        .rule(rule)
+        .max_steps(max_steps)
+        .runs(runs)
+        .seed(seed);
+    let results = ScenarioPlan::new(scenario).run();
+
     let mut times = Vec::new();
     let mut errors = 0u64;
     let mut unconverged = 0u64;
-    for trial in 0..runs {
-        let mut rng = seeds.rng_for(trial);
-        let out = protocol.run_dyn(instance, engine, rule, &mut rng, max_steps);
+    for (trial, out) in results.outcomes().iter().enumerate() {
         match out.verdict.opinion() {
             Some(op) => {
                 if Some(op) != instance.winner() {
@@ -112,35 +140,4 @@ fn main() {
         "errors: {errors}/{runs} ({:.1}%); unconverged: {unconverged}",
         100.0 * errors as f64 / runs as f64
     );
-}
-
-/// Object-safe driver shim so protocols of different types share one code
-/// path (`run_one` is generic, so we monomorphize behind a small trait).
-trait DynProtocol {
-    fn name_dyn(&self) -> &str;
-    fn run_dyn(
-        &self,
-        instance: MajorityInstance,
-        engine: EngineKind,
-        rule: ConvergenceRule,
-        rng: &mut rand::rngs::SmallRng,
-        max_steps: u64,
-    ) -> avc::population::spec::RunOutcome;
-}
-
-impl<P: Protocol + Clone> DynProtocol for P {
-    fn name_dyn(&self) -> &str {
-        self.name()
-    }
-    fn run_dyn(
-        &self,
-        instance: MajorityInstance,
-        engine: EngineKind,
-        rule: ConvergenceRule,
-        rng: &mut rand::rngs::SmallRng,
-        max_steps: u64,
-    ) -> avc::population::spec::RunOutcome {
-        let config = Config::from_input(self, instance.a(), instance.b());
-        run_one(self, config, engine, rule, rng, max_steps)
-    }
 }

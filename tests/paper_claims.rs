@@ -1,8 +1,9 @@
 //! End-to-end checks of the paper's headline claims at reduced scale, run
-//! through the same experiment code that regenerates the figures.
+//! through the same per-cell experiment code the `avc sweep` specs call to
+//! regenerate the figures, visiting cells in each spec's order.
 
 use avc::analysis::experiments::{fig3, fig4, four_state_scaling, three_state_error};
-use avc::analysis::harness::Parallelism;
+use avc::analysis::harness::{Parallelism, StatsCollector};
 use avc::analysis::stats::loglog_slope;
 use avc::verify::enumerate::three_state_impossibility;
 use avc::verify::knowledge::{cover_steps, expected_cover_steps};
@@ -13,12 +14,16 @@ use rand::SeedableRng;
 /// exact protocols at zero error and the 3-state protocol erring.
 #[test]
 fn figure3_ordering_holds() {
-    let cells = fig3::run(&fig3::Config {
+    let config = fig3::Config {
         ns: vec![1_001],
         runs: 21,
         seed: 3,
         parallelism: Parallelism::Auto,
-    });
+    };
+    let stats = StatsCollector::new();
+    let cells: Vec<fig3::Cell> = (0..fig3::PROTOCOL_KEYS.len())
+        .map(|pi| fig3::run_cell(&config, 0, pi, &stats))
+        .collect();
     let get = |name: &str| {
         cells
             .iter()
@@ -46,14 +51,19 @@ fn figure3_ordering_holds() {
 /// `ε`, time falls roughly like `1/s` (until the polylog floor).
 #[test]
 fn figure4_scaling_shape_holds() {
-    let points = fig4::run(&fig4::Config {
+    let config = fig4::Config {
         n: 4_001,
         state_counts: vec![4, 34, 258],
         epsilons: vec![1e-3, 1e-2, 1e-1],
         runs: 9,
         seed: 11,
         parallelism: Parallelism::Auto,
-    });
+    };
+    let stats = StatsCollector::new();
+    let points: Vec<fig4::Point> = (0..config.state_counts.len())
+        .flat_map(|si| (0..config.epsilons.len()).map(move |ei| (si, ei)))
+        .map(|(si, ei)| fig4::run_point(&config, si, ei, &stats))
+        .collect();
     let get = |s: u64, eps: f64| {
         points
             .iter()
@@ -84,17 +94,21 @@ fn figure4_scaling_shape_holds() {
 /// Theorem B.1's shape: the four-state protocol's time is `Θ(1/ε)`.
 #[test]
 fn four_state_lower_bound_scaling() {
-    let outcome = four_state_scaling::run(&four_state_scaling::Config {
+    let config = four_state_scaling::Config {
         n: 4_001,
         epsilons: vec![1e-3, 3.16e-3, 1e-2, 3.16e-2, 1e-1],
         runs: 11,
         seed: 21,
         parallelism: Parallelism::Auto,
-    });
+    };
+    let stats = StatsCollector::new();
+    let points: Vec<four_state_scaling::Point> = (0..config.epsilons.len())
+        .map(|i| four_state_scaling::run_point(&config, i, &stats))
+        .collect();
+    let slope = four_state_scaling::fit_slope(&points);
     assert!(
-        (0.6..1.4).contains(&outcome.slope),
-        "expected Θ(1/eps), fitted exponent {}",
-        outcome.slope
+        (0.6..1.4).contains(&slope),
+        "expected Θ(1/eps), fitted exponent {slope}"
     );
 }
 
@@ -125,18 +139,22 @@ fn information_lower_bound_scaling() {
 /// of `exp(−D·n)` and decays sharply in `ε²n`.
 #[test]
 fn three_state_error_law_shape() {
-    let points = three_state_error::run(&three_state_error::Config {
+    let config = three_state_error::Config {
         ns: vec![2_001],
         epsilons: vec![0.003, 0.05],
         runs: 200,
         seed: 17,
         parallelism: Parallelism::Auto,
-    });
+    };
+    let stats = StatsCollector::new();
+    let points: Vec<three_state_error::Point> = (0..config.epsilons.len())
+        .map(|ei| three_state_error::run_point(&config, 0, ei, &stats))
+        .collect();
     assert!(points[0].error_fraction > 5.0 * points[1].error_fraction.max(0.005));
 }
 
 /// The MNRS14 impossibility on a reduced instance set (the full n ≤ 7 sweep
-/// runs in the `mc_three_state` binary).
+/// is `avc sweep mc_three_state`).
 #[test]
 fn no_three_state_protocol_is_exact_up_to_n5() {
     let outcome = three_state_impossibility(5);
